@@ -48,6 +48,7 @@ from .models import (
     expected_count_distribution,
     expected_degrees,
     expected_edges_links,
+    fit,
     fit_poisson,
     fit_zi_clcm,
     fit_zi_dcsbm,

@@ -26,25 +26,13 @@ class ModularityScore:
 
 def _expanded_arrays(g: MultiGraph):
     """Directed expansion: edge arrays (src, dst, w), degree vectors and m."""
-    n = g.n_nodes
-    kout = np.zeros(n)
-    kin = np.zeros(n)
-    src, dst, wgt = [], [], []
-    for (i, j), w in g.counts.items():
-        src.append(i)
-        dst.append(j)
-        wgt.append(w)
-        kout[i] += w
-        kin[j] += w
-        if not g.directed and i != j:
-            src.append(j)
-            dst.append(i)
-            wgt.append(w)
-            kout[j] += w
-            kin[i] += w
-    m = float(kout.sum())
-    return (np.asarray(src, dtype=np.int64), np.asarray(dst, dtype=np.int64),
-            np.asarray(wgt, dtype=np.float64), kout, kin, m)
+    src, dst, wgt = g.edge_arrays()
+    if not g.directed:  # undirected pair spaces have no self-loops
+        src, dst, wgt = np.concatenate([src, dst]), np.concatenate([dst, src]), np.tile(wgt, 2)
+    wgt = wgt.astype(np.float64)
+    kout = np.bincount(src, weights=wgt, minlength=g.n_nodes)
+    kin = np.bincount(dst, weights=wgt, minlength=g.n_nodes)
+    return src, dst, wgt, kout, kin, float(kout.sum())
 
 
 def modularity(g: MultiGraph, assignment: BlockAssignment, resolution: float = 1.0) -> ModularityScore:

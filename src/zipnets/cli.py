@@ -115,27 +115,6 @@ def _resolve_blocks(args, g: MultiGraph):
         return read_block_assignment(g, fh), False
 
 
-def _fit_family(family: str, g: MultiGraph, assignment, seed: int) -> _models.FittedModel:
-    fam = _models.ModelFamily(family)
-    needs = fam.needs_blocks
-    if needs and assignment is None:
-        raise DataError(f"family {fam.value} needs --blocks <file|detect>")
-    if fam in (_models.ModelFamily.GNP, _models.ModelFamily.SBM,
-               _models.ModelFamily.CLCM, _models.ModelFamily.DCSBM):
-        return _models.fit_poisson(fam, g, assignment if needs else None)
-    if fam is _models.ModelFamily.ZI_GNP:
-        return _models.fit_zi_gnp(g)
-    if fam is _models.ModelFamily.ZI_SBM:
-        return _models.fit_zi_sbm(g, assignment)
-    if fam is _models.ModelFamily.ZI_CLCM:
-        return _models.fit_zi_clcm(g)
-    if fam is _models.ModelFamily.ZI_DCSBM:
-        return _models.fit_zi_dcsbm(g, assignment)
-    if fam is _models.ModelFamily.ZI_CLCM_NODE:
-        return _models.fit_zi_node_level(g)
-    return _models.fit_zi_node_level(g, blocks=assignment)
-
-
 def _q_summary(model: _models.FittedModel) -> str:
     if model.q_global is not None:
         return f"q={model.q_global:.6g}"
@@ -194,7 +173,7 @@ def _cmd_detect_blocks(args) -> int:
 def _cmd_fit(args) -> int:
     g = _load_input(args)
     assignment, detected = _resolve_blocks(args, g)
-    model = _fit_family(args.family, g, assignment, args.seed)
+    model = _models.fit(args.family, g, assignment)
     out = Path(args.out)
     _models.save_model(model, out)
     if detected:
@@ -328,6 +307,8 @@ def _random_block_graph(n: int, b: int, rng: np.random.Generator) -> tuple:
 def _cmd_bench(args) -> int:
     rng = np.random.default_rng(args.seed)
     fam = _models.ModelFamily(args.family)
+    node_level = fam in (_models.ModelFamily.ZI_CLCM_NODE, _models.ModelFamily.ZI_DCSBM_NODE)
+    cfg = OptimizerConfig(max_iterations=args.max_steps) if node_level else None
     rows = []
     n_values = [int(x) for x in args.n_range.split(",")]
     b_values = [int(x) for x in args.b_range.split(",")]
@@ -341,17 +322,9 @@ def _cmd_bench(args) -> int:
                 g, assignment = _random_block_graph(n, b, rng)
                 try:
                     start = time.perf_counter()
-                    if fam is _models.ModelFamily.ZI_DCSBM:
-                        model = _models.fit_zi_dcsbm(g, assignment)
-                        problems = model.diagnostics["n_mixture_problems"]
-                    elif fam is _models.ModelFamily.ZI_CLCM_NODE:
-                        model = _models.fit_zi_node_level(
-                            g, cfg=OptimizerConfig(max_iterations=args.max_steps))
-                        problems = model.diagnostics["n_free_parameters"]
-                    else:
-                        model = _fit_family(fam.value, g, assignment, args.seed)
-                        problems = 1
+                    diag = _models.fit(fam, g, assignment, cfg).diagnostics
                     times.append(time.perf_counter() - start)
+                    problems = diag.get("n_mixture_problems", diag.get("n_free_parameters", 1))
                 except ZipnetsError:
                     continue
             if not times:
@@ -441,7 +414,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--b-range", default="2,4", help="comma-separated block counts")
     p.add_argument("--reps", type=int, default=3)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--max-steps", type=int, default=2000)
+    p.add_argument("--max-steps", type=int, default=2000,
+                   help="coordinate-step budget of the node-level fits")
     p.add_argument("--out", required=True)
     p.set_defaults(func=_cmd_bench)
 

@@ -48,6 +48,7 @@ __all__ = [
     "zip_pmf",
     "pair_law",
     "log_likelihood",
+    "fit",
     "fit_poisson",
     "fit_zi_gnp",
     "fit_zi_sbm",
@@ -185,9 +186,11 @@ def _zip_loglik(counts: np.ndarray, q: np.ndarray, lam: np.ndarray) -> float:
 # -- per-pair parameter arrays ------------------------------------------------
 
 
-def _pair_arrays(model: FittedModel) -> tuple:
-    """(q_ij, lambda_ij) arrays over the canonical pair enumeration."""
-    ii, jj = model.space.pair_indices()
+def _pair_arrays(model: FittedModel, ii=None, jj=None) -> tuple:
+    """(q_ij, lambda_ij) arrays over the pairs (ii, jj); by default the
+    canonical pair enumeration."""
+    if ii is None:
+        ii, jj = model.space.pair_indices()
     fam = model.family
     if fam in (ModelFamily.GNP, ModelFamily.ZI_GNP):
         lam = np.full(len(ii), float(model.p))
@@ -228,29 +231,8 @@ def pair_law(model: FittedModel, i: int, j: int) -> PairLaw:
     """The ZIP law the model assigns to the ordered pair (i, j)."""
     if not model.space.admissible(i, j):
         raise DataError(f"pair ({i}, {j}) is not admissible in this pair space")
-    fam = model.family
-    lab = model.block_of()
-    if fam in (ModelFamily.GNP, ModelFamily.ZI_GNP):
-        lam = float(model.p)
-    elif fam in (ModelFamily.SBM, ModelFamily.ZI_SBM):
-        lam = float(model.lambda_blocks[lab[i], lab[j]])
-    elif fam in (ModelFamily.CLCM, ModelFamily.ZI_CLCM, ModelFamily.ZI_CLCM_NODE):
-        lam = float(model.theta_out[i] * model.theta_in[j])
-    else:
-        lam = float(model.theta_out[i] * model.theta_in[j] * model.lambda_blocks[lab[i], lab[j]])
-
-    if not fam.zero_inflated:
-        q = 1.0
-    elif fam in (ModelFamily.ZI_GNP, ModelFamily.ZI_CLCM):
-        q = float(model.q_global)
-    elif fam in (ModelFamily.ZI_SBM, ModelFamily.ZI_DCSBM):
-        q = float(model.q_blocks[lab[i], lab[j]])
-    elif fam is ModelFamily.ZI_CLCM_NODE:
-        q = float(model.q_nodes_out[i] * model.q_nodes_in[j])
-    else:
-        qb = float(_block_mixture(model, np.array([lab[i]]), np.array([lab[j]]))[0])
-        q = qb * float(model.q_nodes_out[i] * model.q_nodes_in[j])
-    return PairLaw(q=q, lam=lam)
+    q, lam = _pair_arrays(model, np.array([i]), np.array([j]))
+    return PairLaw(q=float(q[0]), lam=float(lam[0]))
 
 
 def _check_same_space(model: FittedModel, g: MultiGraph) -> None:
@@ -863,6 +845,38 @@ def fit_zi_node_level(g: MultiGraph, blocks: Optional[BlockAssignment] = None,
     model.diagnostics["n_free_parameters"] = n_params
     model.diagnostics["loglik"] = res.value
     return model
+
+
+# family -> fitter(g, blocks, cfg); blocks is None for families without blocks
+_FITTERS = {
+    ModelFamily.GNP: lambda g, blocks, cfg: fit_poisson(ModelFamily.GNP, g),
+    ModelFamily.SBM: lambda g, blocks, cfg: fit_poisson(ModelFamily.SBM, g, blocks),
+    ModelFamily.CLCM: lambda g, blocks, cfg: fit_poisson(ModelFamily.CLCM, g),
+    ModelFamily.DCSBM: lambda g, blocks, cfg: fit_poisson(ModelFamily.DCSBM, g, blocks),
+    ModelFamily.ZI_GNP: lambda g, blocks, cfg: fit_zi_gnp(g),
+    ModelFamily.ZI_SBM: lambda g, blocks, cfg: fit_zi_sbm(g, blocks),
+    ModelFamily.ZI_CLCM: lambda g, blocks, cfg: fit_zi_clcm(g, cfg),
+    ModelFamily.ZI_DCSBM: lambda g, blocks, cfg: fit_zi_dcsbm(g, blocks, cfg),
+    ModelFamily.ZI_CLCM_NODE: lambda g, blocks, cfg: fit_zi_node_level(g, cfg=cfg),
+    ModelFamily.ZI_DCSBM_NODE: lambda g, blocks, cfg: fit_zi_node_level(g, blocks, cfg),
+}
+
+
+def fit(family, g: MultiGraph, blocks: Optional[BlockAssignment] = None,
+        cfg: Optional[OptimizerConfig] = None) -> FittedModel:
+    """Fit any family with its fitter's defaults.
+
+    Block families require ``blocks``; the others ignore it. ``cfg``
+    reaches the families that optimize a mixture (zi_clcm, zi_dcsbm and
+    the node-level variants, where ``max_iterations`` is the
+    coordinate-step budget); the closed-form families ignore it.
+    """
+    family = ModelFamily(family)
+    if not family.needs_blocks:
+        blocks = None
+    elif blocks is None:
+        raise DataError(f"family {family.value} requires a block assignment")
+    return _FITTERS[family](g, blocks, cfg)
 
 
 # -- model expectations --------------------------------------------------------

@@ -15,11 +15,12 @@ graphs); pairs without an entry have count zero.
 
 from __future__ import annotations
 
+import contextlib
 import gzip
 import io
 import json
 from dataclasses import dataclass, field
-from typing import Optional, Sequence, TextIO
+from typing import Iterator, Optional, Sequence, TextIO
 
 import numpy as np
 
@@ -178,23 +179,28 @@ class MultiGraph:
         except KeyError:
             raise DataError(f"unknown node label {label!r}") from None
 
+    def edge_arrays(self) -> tuple:
+        """(rows, cols, counts) of the connected pairs, in canonical pair order."""
+        keys = np.array(list(self.counts), dtype=np.int64).reshape(-1, 2)
+        w = np.fromiter(self.counts.values(), dtype=np.int64, count=len(self.counts))
+        order = np.argsort(_pair_positions(self.space, keys[:, 0], keys[:, 1]))
+        return keys[order, 0], keys[order, 1], w[order]
+
     def count_vector(self) -> np.ndarray:
         """Counts over the full pair space in canonical enumeration order."""
         vec = np.zeros(self.space.size, dtype=np.int64)
-        if self.counts:
-            keys = np.array(list(self.counts.keys()), dtype=np.int64)
-            pos = _pair_positions(self.space, keys[:, 0], keys[:, 1])
-            vec[pos] = np.fromiter(self.counts.values(), dtype=np.int64, count=len(self.counts))
+        rows, cols, w = self.edge_arrays()
+        vec[_pair_positions(self.space, rows, cols)] = w
         return vec
 
     def dense_matrix(self) -> np.ndarray:
         """Dense count matrix; symmetric for undirected graphs."""
         n = self.n_nodes
         mat = np.zeros((n, n), dtype=np.int64)
-        for (i, j), w in self.counts.items():
-            mat[i, j] = w
-            if not self.directed and i != j:
-                mat[j, i] = w
+        rows, cols, w = self.edge_arrays()
+        mat[rows, cols] = w
+        if not self.directed:
+            mat[cols, rows] = w
         return mat
 
     def __repr__(self):
@@ -249,22 +255,28 @@ class TemporalContactLog:
         return list(seen)
 
 
-def _open_maybe_gzip(stream) -> TextIO:
-    """Wrap a binary/text stream or path, transparently decoding gzip."""
-    if isinstance(stream, (str, bytes)) or hasattr(stream, "__fspath__"):
-        raw = open(stream, "rb")
-    elif isinstance(stream, io.TextIOBase):
-        return stream
-    else:
-        raw = stream
-    head = raw.peek(2)[:2] if hasattr(raw, "peek") else b""
-    if not hasattr(raw, "peek"):
-        buffered = io.BufferedReader(raw)
-        head = buffered.peek(2)[:2]
-        raw = buffered
-    if head == b"\x1f\x8b":
-        return io.TextIOWrapper(gzip.GzipFile(fileobj=raw), encoding="utf-8")
-    return io.TextIOWrapper(raw, encoding="utf-8")
+@contextlib.contextmanager
+def _open_maybe_gzip(stream) -> Iterator[TextIO]:
+    """Text view of a path or a binary/text stream, transparently decoding gzip.
+
+    A file opened from a path is closed on exit; a caller's stream stays
+    open, as the wrappers around it are detached rather than closed.
+    """
+    if isinstance(stream, io.TextIOBase):
+        yield stream
+        return
+    with contextlib.ExitStack() as stack:  # unwinds in reverse order of wrapping
+        if isinstance(stream, (str, bytes)) or hasattr(stream, "__fspath__"):
+            stream = stack.enter_context(open(stream, "rb"))
+        if not hasattr(stream, "peek"):
+            stream = io.BufferedReader(stream)
+            stack.callback(stream.detach)
+        if stream.peek(2)[:2] == b"\x1f\x8b":
+            # closing a GzipFile leaves the fileobj it was given open
+            stream = stack.enter_context(gzip.GzipFile(fileobj=stream))
+        text = io.TextIOWrapper(stream, encoding="utf-8")
+        stack.callback(text.detach)
+        yield text
 
 
 def parse_contact_log(stream) -> TemporalContactLog:
@@ -274,23 +286,23 @@ def parse_contact_log(stream) -> TemporalContactLog:
     detected from the magic bytes. Records are returned sorted by
     timestamp with the original label strings preserved.
     """
-    fh = _open_maybe_gzip(stream)
     records = []
-    for lineno, line in enumerate(fh, start=1):
-        text = line.split("#", 1)[0].strip()
-        if not text:
-            continue
-        parts = text.replace(",", " ").split()
-        if len(parts) < 3:
-            raise ParseError(f"expected at least 3 fields, got {len(parts)}", line=lineno)
-        try:
-            t = int(parts[0])
-        except ValueError:
-            raise ParseError(f"timestamp {parts[0]!r} is not an integer", line=lineno) from None
-        a, b = parts[1], parts[2]
-        if a == b:
-            raise ParseError(f"self-contact {a!r}", line=lineno)
-        records.append((t, a, b))
+    with _open_maybe_gzip(stream) as fh:
+        for lineno, line in enumerate(fh, start=1):
+            text = line.split("#", 1)[0].strip()
+            if not text:
+                continue
+            parts = text.replace(",", " ").split()
+            if len(parts) < 3:
+                raise ParseError(f"expected at least 3 fields, got {len(parts)}", line=lineno)
+            try:
+                t = int(parts[0])
+            except ValueError:
+                raise ParseError(f"timestamp {parts[0]!r} is not an integer", line=lineno) from None
+            a, b = parts[1], parts[2]
+            if a == b:
+                raise ParseError(f"self-contact {a!r}", line=lineno)
+            records.append((t, a, b))
     if not records:
         raise ParseError("no records found")
     records.sort(key=lambda r: r[0])
@@ -327,7 +339,6 @@ def parse_weighted_edgelist(stream, directed: bool, loops: bool) -> MultiGraph:
     Duplicate pairs accumulate. Node labels are mapped to dense indices
     in order of first appearance.
     """
-    fh = _open_maybe_gzip(stream)
     index: dict = {}
     counts: dict = {}
 
@@ -337,27 +348,28 @@ def parse_weighted_edgelist(stream, directed: bool, loops: bool) -> MultiGraph:
         return index[label]
 
     n_lines = 0
-    for lineno, line in enumerate(fh, start=1):
-        text = line.split("#", 1)[0].strip()
-        if not text:
-            continue
-        parts = text.replace(",", " ").split()
-        if len(parts) < 3:
-            raise ParseError(f"expected 3 fields 'i j w', got {len(parts)}", line=lineno)
-        a, b, w_text = parts[0], parts[1], parts[2]
-        try:
-            w = int(w_text)
-        except ValueError:
-            raise ParseError(f"weight {w_text!r} is not an integer", line=lineno) from None
-        if w <= 0:
-            raise ParseError(f"weight must be positive, got {w}", line=lineno)
-        if a == b and not loops:
-            raise ParseError(f"self-loop {a!r} not allowed", line=lineno)
-        i, j = node(a), node(b)
-        if not directed and i > j:
-            i, j = j, i
-        counts[(i, j)] = counts.get((i, j), 0) + w
-        n_lines += 1
+    with _open_maybe_gzip(stream) as fh:
+        for lineno, line in enumerate(fh, start=1):
+            text = line.split("#", 1)[0].strip()
+            if not text:
+                continue
+            parts = text.replace(",", " ").split()
+            if len(parts) < 3:
+                raise ParseError(f"expected 3 fields 'i j w', got {len(parts)}", line=lineno)
+            a, b, w_text = parts[0], parts[1], parts[2]
+            try:
+                w = int(w_text)
+            except ValueError:
+                raise ParseError(f"weight {w_text!r} is not an integer", line=lineno) from None
+            if w <= 0:
+                raise ParseError(f"weight must be positive, got {w}", line=lineno)
+            if a == b and not loops:
+                raise ParseError(f"self-loop {a!r} not allowed", line=lineno)
+            i, j = node(a), node(b)
+            if not directed and i > j:
+                i, j = j, i
+            counts[(i, j)] = counts.get((i, j), 0) + w
+            n_lines += 1
     if n_lines == 0:
         raise ParseError("no edges found")
     return MultiGraph(list(index), counts, directed=directed, loops=loops)
@@ -369,18 +381,17 @@ def parse_weighted_edgelist(stream, directed: bool, loops: bool) -> MultiGraph:
 def degrees(g: MultiGraph) -> tuple:
     """Out- and in-degree vectors (k_out, k_in); identical arrays for
     undirected graphs, where every edge contributes to both endpoints."""
-    kout = np.zeros(g.n_nodes, dtype=np.int64)
-    kin = np.zeros(g.n_nodes, dtype=np.int64)
-    for (i, j), w in g.counts.items():
-        if g.directed:
-            kout[i] += w
-            kin[j] += w
-        else:
-            kout[i] += w
-            kout[j] += w
+    rows, cols, w = g.edge_arrays()
+    kout = _index_sums(rows, w, g.n_nodes)
+    kin = _index_sums(cols, w, g.n_nodes)
     if not g.directed:
-        kin = kout
+        kout = kin = kout + kin
     return kout, kin
+
+
+def _index_sums(index: np.ndarray, w: np.ndarray, n: int) -> np.ndarray:
+    """Integer sums of ``w`` per index value in [0, n); exact below 2**53."""
+    return np.bincount(index, weights=w, minlength=n).astype(np.int64)
 
 
 def excess_kurtosis(values) -> float:
@@ -489,14 +500,12 @@ def block_tallies(g: MultiGraph, blocks: BlockAssignment) -> BlockTallies:
     B = blocks.n_blocks
     lab = blocks.as_array()
     sizes = blocks.sizes()
-    m = np.zeros((B, B), dtype=np.int64)
-    links = np.zeros((B, B), dtype=np.int64)
-    for (i, j), w in g.counts.items():
-        b, d = lab[i], lab[j]
-        if not g.directed and b > d:
-            b, d = d, b
-        m[b, d] += w
-        links[b, d] += 1
+    rows, cols, w = g.edge_arrays()
+    b, d = lab[rows], lab[cols]
+    if not g.directed:
+        b, d = np.minimum(b, d), np.maximum(b, d)
+    m = _index_sums(b * B + d, w, B * B).reshape(B, B)
+    links = np.bincount(b * B + d, minlength=B * B).astype(np.int64).reshape(B, B)
     pairs = np.zeros((B, B), dtype=np.int64)
     if g.directed:
         pairs[:] = np.outer(sizes, sizes)
@@ -566,7 +575,7 @@ def prefix_series(log: TemporalContactLog, n_points: int) -> list:
 
 def graph_to_json(g: MultiGraph) -> dict:
     """JSON-serializable description of a graph."""
-    edges = sorted([int(i), int(j), int(w)] for (i, j), w in g.counts.items())
+    edges = np.column_stack(g.edge_arrays()).tolist()
     return {
         "n_nodes": g.n_nodes,
         "directed": g.directed,
@@ -605,19 +614,19 @@ def write_block_assignment(g: MultiGraph, blocks: BlockAssignment, path) -> None
 def read_block_assignment(g: MultiGraph, stream) -> BlockAssignment:
     """Read "node_label block" lines; blocks are renumbered densely in
     ascending numeric order of the labels found."""
-    fh = _open_maybe_gzip(stream)
     raw: dict = {}
-    for lineno, line in enumerate(fh, start=1):
-        text = line.split("#", 1)[0].strip()
-        if not text:
-            continue
-        parts = text.split()
-        if len(parts) != 2:
-            raise ParseError(f"expected 'node block', got {len(parts)} fields", line=lineno)
-        try:
-            raw[parts[0]] = int(parts[1])
-        except ValueError:
-            raise ParseError(f"block label {parts[1]!r} is not an integer", line=lineno) from None
+    with _open_maybe_gzip(stream) as fh:
+        for lineno, line in enumerate(fh, start=1):
+            text = line.split("#", 1)[0].strip()
+            if not text:
+                continue
+            parts = text.split()
+            if len(parts) != 2:
+                raise ParseError(f"expected 'node block', got {len(parts)} fields", line=lineno)
+            try:
+                raw[parts[0]] = int(parts[1])
+            except ValueError:
+                raise ParseError(f"block label {parts[1]!r} is not an integer", line=lineno) from None
     missing = [lab for lab in g.node_ids if lab not in raw]
     if missing:
         raise DataError(f"block file is missing {len(missing)} nodes (first: {missing[0]!r})")

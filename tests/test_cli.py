@@ -217,3 +217,25 @@ class TestBench:
             cells = row.split(",")
             b = int(cells[2])
             assert int(cells[-1]) == b * b
+
+    def test_bench_max_steps_reaches_node_level_fits(self, tmp_path, monkeypatch):
+        import zipnets.models as models
+
+        fits = []
+        direct = models.fit_zi_node_level
+
+        def recording(*args, **kwargs):
+            fits.append(direct(*args, **kwargs))
+            return fits[-1]
+
+        monkeypatch.setattr(models, "fit_zi_node_level", recording)
+        out = tmp_path / "bench.csv"
+        assert main(["bench", "--family", "zi_dcsbm_node", "--n-range", "12",
+                     "--b-range", "2", "--reps", "1", "--max-steps", "5",
+                     "--out", str(out)]) == 0
+        rows = out.read_text().strip().splitlines()
+        assert len(rows) == 2 and len(fits) == 1
+        diag = fits[0].diagnostics
+        assert fits[0].family.value == "zi_dcsbm_node"
+        assert int(rows[1].split(",")[-1]) == diag["n_free_parameters"] > 5
+        assert diag["iterations"] <= 5 and not diag["converged"]

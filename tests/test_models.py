@@ -16,6 +16,7 @@ from zipnets import (
     expected_count_distribution,
     expected_degrees,
     expected_edges_links,
+    fit,
     fit_poisson,
     fit_zi_clcm,
     fit_zi_dcsbm,
@@ -658,6 +659,11 @@ class TestModelSerialization:
             model = fit_zi_node_level(g)
         else:
             model = fit_zi_node_level(g, blocks=blocks)
+        assert model_to_json(fit(family, g, blocks)) == model_to_json(model)
+        q, lam = _pair_arrays(model)
+        ii, jj = model.space.pair_indices()
+        for k in range(0, len(ii), 7):
+            assert pair_law(model, ii[k], jj[k]) == PairLaw(q=q[k], lam=lam[k])
         path = tmp_path / "model.json"
         save_model(model, path)
         loaded = load_model(path)
@@ -668,6 +674,12 @@ class TestModelSerialization:
         assert np.array_equal(q1, q2)
         assert np.array_equal(l1, l2)
         assert log_likelihood(loaded, g) == log_likelihood(model, g)
+
+    def test_fit_requires_blocks(self):
+        # without the check, fit_zi_node_level would fit zi_clcm_node instead
+        g = planted_zi_graph(36, 10, q=0.6, rate=4.0)
+        with pytest.raises(DataError, match="requires a block assignment"):
+            fit("zi_dcsbm_node", g)
 
     def test_json_shape(self):
         g = planted_zi_graph(35, 9, q=0.6, rate=4.0)

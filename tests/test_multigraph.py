@@ -62,6 +62,21 @@ class TestParseContactLog:
         assert plain.records == packed.records
 
 
+    def test_caller_stream_left_open(self):
+        text = b"0 A B\n20 B C\n"
+        for stream in (io.BytesIO(text), io.BytesIO(gzip.compress(text))):
+            assert len(parse_contact_log(stream).records) == 2
+            assert not stream.closed
+
+    def test_path_input(self, tmp_path):
+        # the file opened from the path is closed again (tier-1 turns
+        # ResourceWarning into an error)
+        path = tmp_path / "log.txt.gz"
+        path.write_bytes(gzip.compress(b"0 A B\n"))
+        assert parse_contact_log(path).records == ((0, "A", "B"),)
+        assert parse_contact_log(str(path)).records == ((0, "A", "B"),)
+
+
 class TestAggregate:
     def test_counting(self):
         log = parse_contact_log(_as_stream("0 A B\n20 A B\n20 B C\n"))

@@ -118,6 +118,20 @@ class TestBoxMaximizer:
         assert np.allclose(res.x, c, atol=1e-6)
         assert res.converged
 
+    def test_truncated_sweep_not_converged(self):
+        # the one-step budget stops the first sweep after x0, which cannot
+        # gain while x1 sits at 0.1; the maximum 0 is at x0 = x1 = 0.9
+        def f(x):
+            return -(x[0] - x[1]) ** 2 - (x[1] - 0.9) ** 2
+
+        res = maximize_box_constrained(f, np.array([0.1, 0.1]), np.zeros(2), np.ones(2),
+                                       OptimizerConfig(max_iterations=1))
+        assert res.iterations == 1
+        assert res.value == pytest.approx(-0.64)
+        assert not res.converged
+        full = maximize_box_constrained(f, np.array([0.1, 0.1]), np.zeros(2), np.ones(2))
+        assert full.converged and full.value > -1e-6
+
     def test_clamped_boundary(self):
         c = np.array([1.5, -0.2])
         res = maximize_box_constrained(lambda x: -np.sum((x - c) ** 2),
