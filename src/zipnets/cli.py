@@ -204,16 +204,14 @@ def _cmd_sample(args) -> int:
     return 0
 
 
-def _capture_block(g, model_a, model_b, metric, n, seed):
-    rep_a, rep_b = _metrics.ensemble_capture(model_a, g, metric, n, seed, model_b=model_b)
-
+def _capture_block(rep_a, rep_b):
     def fmt(rep):
         if rep is None:
             return None
         return {"mean": rep.model_mean, "sd": rep.model_sd, "n": rep.n_realizations,
                 "capture_pct": rep.capture_pct}
 
-    block = {"metric": metric, "empirical": rep_a.empirical_value,
+    block = {"metric": rep_a.metric_name, "empirical": rep_a.empirical_value,
              "a": fmt(rep_a), "b": fmt(rep_b)}
     if rep_a.t_test is not None:
         block["t_test"] = {"t": rep_a.t_test.t_statistic,
@@ -233,15 +231,16 @@ def _cmd_report(args) -> int:
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     s = summary_stats(g)
-    counts_max = int(g.count_vector().max(initial=0))
-    lowers = _metrics.bin_lowers(counts_max, args.binning)
+    counts = g.count_vector()
+    lowers = _metrics.bin_lowers(int(counts.max(initial=0)), args.binning)
     emp = _metrics.edge_count_histogram(g, lowers=lowers)
     hist_a = _metrics.model_count_histogram(model_a, lowers)
     hist_b = _metrics.model_count_histogram(model_b, lowers) if model_b else None
     _metrics.write_histogram_csv(out_dir / "histogram.csv", emp, hist_a, hist_b)
 
     def model_block(model, hist):
-        stat, nbins = _metrics.chi_squared_gof(g, model, args.binning)
+        stat, nbins = _metrics.chi_squared_from_binned(emp.mass * counts.size,
+                                                       hist.mass * counts.size)
         return {
             "family": model.family.value,
             "loglik": _models.log_likelihood(model, g),
@@ -261,13 +260,13 @@ def _cmd_report(args) -> int:
                   "excess_kurtosis": s.excess_kurtosis},
         "bins": emp.lowers,
         "models": {"a": model_block(model_a, hist_a)},
-        "capture": {},
     }
     if model_b is not None:
         report["models"]["b"] = model_block(model_b, hist_b)
-    for metric in ("spectral_gap", "avg_clustering", "avg_path_length", "excess_kurtosis"):
-        report["capture"][metric] = _capture_block(
-            g, model_a, model_b, metric, args.realizations, args.seed)
+    captures = _metrics.ensemble_capture(
+        model_a, g, ("spectral_gap", "avg_clustering", "avg_path_length", "excess_kurtosis"),
+        args.realizations, args.seed, model_b=model_b)
+    report["capture"] = {metric: _capture_block(*reps) for metric, reps in captures.items()}
     _dump_json(report, out_dir / "report.json")
 
     chi_a = report["models"]["a"]["chi_squared"]["statistic"]

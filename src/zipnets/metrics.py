@@ -215,37 +215,31 @@ def _symmetric_weights(g: MultiGraph) -> np.ndarray:
     return w
 
 
-def _components(adj_sets: list) -> list:
-    n = len(adj_sets)
-    seen = np.zeros(n, dtype=bool)
-    comps = []
-    for start in range(n):
-        if seen[start]:
-            continue
-        stack = [start]
-        seen[start] = True
-        comp = [start]
-        while stack:
-            v = stack.pop()
-            for u in adj_sets[v]:
-                if not seen[u]:
-                    seen[u] = True
-                    stack.append(u)
-                    comp.append(u)
-        comps.append(sorted(comp))
-    return comps
-
-
-def _adjacency_sets(w: np.ndarray) -> list:
-    return [set(np.nonzero(row)[0].tolist()) for row in w]
+def _hop_distances(adj: np.ndarray) -> np.ndarray:
+    """Hop counts between all node pairs of a symmetric 0/1 adjacency,
+    -1 where unreachable: a BFS from every source at once, one matrix
+    product per level."""
+    n = len(adj)
+    a = adj.astype(np.float64)
+    dist = np.full((n, n), -1, dtype=np.int64)
+    np.fill_diagonal(dist, 0)
+    frontier = np.eye(n)
+    d = 0
+    while frontier.any():
+        d += 1
+        nxt = (frontier @ a > 0) & (dist < 0)
+        dist[nxt] = d
+        frontier = nxt.astype(np.float64)
+    return dist
 
 
 def spectral_gap_info(g: MultiGraph) -> tuple:
     """(gap, coverage): second-smallest random-walk Laplacian eigenvalue
-    of the weighted giant component, and the fraction of nodes covered."""
+    of the weighted giant component, and the fraction of nodes covered.
+    Of equal largest components the one with the lowest node is taken."""
     w = _symmetric_weights(g)
-    comps = _components(_adjacency_sets(w))
-    giant = max(comps, key=len)
+    reach = _hop_distances(w > 0) >= 0
+    giant = np.nonzero(reach[np.argmax(reach.sum(axis=1))])[0]
     if len(giant) < 2:
         raise NumericalError("giant component too small for a spectral gap")
     sub = w[np.ix_(giant, giant)]
@@ -265,19 +259,15 @@ def avg_clustering(g: MultiGraph) -> float:
     projection; nodes with degree < 2 contribute 0."""
     if g.n_nodes < 3:
         raise DataError("clustering needs at least 3 nodes")
-    w = _symmetric_weights(g)
-    nbrs = _adjacency_sets(w)
+    a = (_symmetric_weights(g) > 0).astype(np.float64)
+    # 0/1 products summing at most N terms: exact in float64
+    deg = a.sum(axis=1).astype(np.int64).tolist()
+    links = (((a @ a) * a).sum(axis=1) / 2).astype(np.int64).tolist()
     total = 0.0
-    for v in range(g.n_nodes):
-        nb = nbrs[v]
-        d = len(nb)
-        if d < 2:
-            continue
-        links = 0
-        nb_list = sorted(nb)
-        for a_idx, a in enumerate(nb_list):
-            links += len(nbrs[a].intersection(nb_list[a_idx + 1:]))
-        total += 2.0 * links / (d * (d - 1))
+    # accumulated in node order, as np.sum's pairwise order would move the last bit
+    for d, t in zip(deg, links):
+        if d >= 2:
+            total += 2.0 * t / (d * (d - 1))
     return total / g.n_nodes
 
 
@@ -287,29 +277,12 @@ def avg_path_length_info(g: MultiGraph) -> tuple:
         raise DataError("path length needs at least 2 nodes")
     if g.n_links == 0:
         raise DataError("path length undefined without edges")
-    w = _symmetric_weights(g)
-    nbrs = [np.nonzero(row)[0] for row in w]
+    dist = _hop_distances(_symmetric_weights(g) > 0)
     n = g.n_nodes
-    total = 0
-    pairs = 0
-    for s in range(n):
-        dist = np.full(n, -1, dtype=np.int64)
-        dist[s] = 0
-        frontier = [s]
-        d = 0
-        while frontier:
-            d += 1
-            nxt = []
-            for v in frontier:
-                for u in nbrs[v]:
-                    if dist[u] < 0:
-                        dist[u] = d
-                        nxt.append(u)
-            frontier = nxt
-        reach = dist > 0
-        total += int(dist[reach].sum())
-        pairs += int(np.count_nonzero(reach))
-    # every unordered pair was counted once from each endpoint
+    reach = dist[dist > 0]
+    total = int(reach.sum())
+    pairs = reach.size
+    # every unordered pair is counted once from each endpoint
     mean = total / pairs if pairs else float("nan")
     coverage = (pairs // 2) / (n * (n - 1) // 2)
     return mean, coverage
@@ -346,8 +319,8 @@ def saturation_curve(series, n_pairs: int) -> list:
     return out
 
 
-def ensemble_capture(model_a, g: MultiGraph, metric: str, n: int, seed: int,
-                     model_b=None) -> tuple:
+def ensemble_capture(model_a, g: MultiGraph, metric, n: int, seed: int,
+                     model_b=None):
     """Monte Carlo capture reports for one or two models.
 
     Samples ``n`` realizations per model, evaluates the metric on each,
@@ -355,42 +328,67 @@ def ensemble_capture(model_a, g: MultiGraph, metric: str, n: int, seed: int,
     the empirical value. With two models a Welch test compares their
     ensembles. Realizations where the metric fails are skipped; more
     than 20% skipped is an error.
+
+    ``metric`` is a name of ``METRIC_FUNCTIONS`` or a sequence of names.
+    A name returns ``(report_a, report_b)`` (``report_b`` None without
+    ``model_b``). A sequence returns ``{name: (report_a, report_b)}``:
+    each realization is drawn once and scored on every metric, and the
+    reports and errors are those of one call per name with the same
+    seed, in order (a metric, then model a, then model b).
     """
     if n < 2:
         raise DataError("need at least 2 realizations")
-    if metric not in METRIC_FUNCTIONS:
-        raise DataError(f"unknown metric {metric!r}")
-    fn = METRIC_FUNCTIONS[metric]
-    empirical = fn(g)
+    names = [metric] if isinstance(metric, str) else list(metric)
+    if not names:
+        raise DataError("no metric given")
+    fns, empirical = {}, {}
+    pending = None  # error of the first metric that fails on g, raised after those before it
+    for name in names:
+        try:
+            if name not in METRIC_FUNCTIONS:
+                raise DataError(f"unknown metric {name!r}")
+            fn = METRIC_FUNCTIONS[name]
+            empirical[name] = fn(g)
+        except (NumericalError, DataError) as exc:
+            pending = exc
+            break
+        fns[name] = fn
+    if not fns:
+        raise pending
     rng = np.random.default_rng(seed)
     seeds = rng.integers(0, 2 ** 62, size=(2, n))
-
-    def run(model, row):
-        values = []
-        skipped = 0
+    models = [model_a] if model_b is None else [model_a, model_b]
+    values = {name: [[] for _ in models] for name in fns}
+    for row, model in enumerate(models):
         for k in range(n):
             realization = _models.sample(model, int(seeds[row, k]))
-            try:
-                values.append(fn(realization))
-            except (NumericalError, DataError):
-                skipped += 1
-        if skipped > 0.2 * n:
-            raise NumericalError(f"metric {metric} failed on {skipped}/{n} realizations")
-        return np.asarray(values)
+            for name, fn in fns.items():
+                try:
+                    values[name][row].append(fn(realization))
+                except (NumericalError, DataError):
+                    pass
 
-    vals_a = run(model_a, 0)
-    vals_b = run(model_b, 1) if model_b is not None else None
-    ttest = welch_t_test(vals_a, vals_b) if vals_b is not None else None
-
-    def report(values):
-        mean = float(values.mean())
-        sd = float(values.std(ddof=1))
-        pct = 100.0 * mean / empirical if empirical != 0 else float("nan")
-        return CaptureReport(metric_name=metric, empirical_value=float(empirical),
-                             model_mean=mean, model_sd=sd, n_realizations=len(values),
-                             capture_pct=pct, t_test=ttest)
-
-    return report(vals_a), (report(vals_b) if vals_b is not None else None)
+    out = {}
+    for name, per_model in values.items():
+        for vals in per_model:
+            skipped = n - len(vals)
+            if skipped > 0.2 * n:
+                raise NumericalError(f"metric {name} failed on {skipped}/{n} realizations")
+        arrays = [np.asarray(vals) for vals in per_model]
+        ttest = welch_t_test(*arrays) if len(arrays) == 2 else None
+        emp = empirical[name]
+        reports = []
+        for vals in arrays:
+            mean = float(vals.mean())
+            pct = 100.0 * mean / emp if emp != 0 else float("nan")
+            reports.append(CaptureReport(
+                metric_name=name, empirical_value=float(emp), model_mean=mean,
+                model_sd=float(vals.std(ddof=1)), n_realizations=len(vals),
+                capture_pct=pct, t_test=ttest))
+        out[name] = (reports[0], reports[1] if len(reports) == 2 else None)
+    if pending is not None:
+        raise pending
+    return out[metric] if isinstance(metric, str) else out
 
 
 def write_histogram_csv(path, empirical: CountHistogram, model_a: CountHistogram,

@@ -4,6 +4,8 @@ import json
 import numpy as np
 import pytest
 
+import zipnets.models
+
 from zipnets import load_graph, save_graph
 from zipnets.cli import main
 from conftest import planted_zi_graph
@@ -181,6 +183,23 @@ class TestReport:
                          "--seed", "9", "--realizations", "8", "--out", str(out)]) == 0
             outs.append((out / "report.json").read_bytes())
         assert outs[0] == outs[1]
+
+    def test_report_draws_each_realization_once(self, graph_file, tmp_path, monkeypatch):
+        ma, mb = tmp_path / "zi.json", tmp_path / "plain.json"
+        main(["fit", "--input", str(graph_file), "--family", "zi_gnp", "--out", str(ma)])
+        main(["fit", "--input", str(graph_file), "--family", "gnp", "--out", str(mb)])
+        draws = []
+        original = zipnets.models.sample
+
+        def counting(model, seed):
+            draws.append(seed)
+            return original(model, seed)
+
+        monkeypatch.setattr(zipnets.models, "sample", counting)
+        assert main(["report", "--input", str(graph_file), "--model-a", str(ma),
+                     "--model-b", str(mb), "--seed", "2", "--realizations", "6",
+                     "--out", str(tmp_path / "rep")]) == 0
+        assert len(draws) == 12 and len(set(draws)) == 12
 
     def test_pair_space_mismatch(self, graph_file, tmp_path):
         other = planted_zi_graph(5, 9, q=0.5, rate=3.0)

@@ -25,7 +25,9 @@ from zipnets import (
     spectral_gap_info,
     zip_pmf,
 )
-from zipnets.metrics import avg_path_length_info, chi_squared_from_binned, write_histogram_csv
+from zipnets.exceptions import NumericalError
+from zipnets.metrics import (METRIC_FUNCTIONS, avg_path_length_info, chi_squared_from_binned,
+                             write_histogram_csv)
 from zipnets.models import FittedModel, ModelFamily
 from conftest import graph_from_matrix, planted_zi_graph, random_blocks
 
@@ -263,6 +265,62 @@ class TestEnsembleCapture:
         model = fit_zi_gnp(g)
         with pytest.raises(DataError):
             ensemble_capture(model, g, "excess_kurtosis", n=1, seed=0)
+
+
+METRIC_NAMES = ("spectral_gap", "avg_clustering", "avg_path_length", "excess_kurtosis")
+
+
+def _flaky(empirical):
+    """A metric that evaluates only on ``empirical`` and fails on every
+    realization."""
+    def fn(h):
+        if h is not empirical:
+            raise NumericalError("realization rejected")
+        return 1.0
+    return fn
+
+
+def _broken(h):
+    raise DataError("cannot evaluate")
+
+
+def _raised(call):
+    with pytest.raises((DataError, NumericalError)) as info:
+        call()
+    return type(info.value), str(info.value)
+
+
+class TestEnsembleCaptureOnePass:
+    """The sequence form draws each realization once and scores it on every
+    metric; its reports and errors are those of one call per name."""
+
+    @pytest.mark.parametrize("two_models", [False, True])
+    def test_sequence_matches_single_calls(self, two_models):
+        g = planted_zi_graph(16, 14, q=0.45, rate=4.0)
+        zi = fit_zi_gnp(g)
+        plain = fit_poisson("gnp", g) if two_models else None
+        together = ensemble_capture(zi, g, METRIC_NAMES, n=9, seed=4, model_b=plain)
+        assert list(together) == list(METRIC_NAMES)
+        for name in METRIC_NAMES:
+            alone = ensemble_capture(zi, g, name, n=9, seed=4, model_b=plain)
+            assert repr(together[name]) == repr(alone)
+
+    def test_failing_metric_raises_as_single_call(self, monkeypatch):
+        g = planted_zi_graph(17, 10, q=0.5, rate=4.0)
+        model = fit_zi_gnp(g)
+        monkeypatch.setitem(METRIC_FUNCTIONS, "flaky", _flaky(g))
+        monkeypatch.setitem(METRIC_FUNCTIONS, "broken", _broken)
+        single = _raised(lambda: ensemble_capture(model, g, "flaky", n=5, seed=1))
+        assert single == (NumericalError, "metric flaky failed on 5/5 realizations")
+        for names in (["flaky"], ["excess_kurtosis", "flaky", "broken"],
+                      ["flaky", "no_such_metric"]):
+            assert _raised(lambda: ensemble_capture(model, g, names, n=5, seed=1)) == single
+        # a metric that fails on the empirical graph first raises its own error
+        assert _raised(lambda: ensemble_capture(model, g, ["broken", "flaky"], n=5,
+                                                seed=1)) == (DataError, "cannot evaluate")
+        assert _raised(lambda: ensemble_capture(model, g, ["avg_clustering", "nope"],
+                                                n=5, seed=1)) == (
+            DataError, "unknown metric 'nope'")
 
 
 class TestHistogramCsv:
