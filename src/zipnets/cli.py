@@ -181,8 +181,9 @@ def _cmd_fit(args) -> int:
         write_block_assignment(g, assignment, blocks_path)
         print(f"blocks written to {blocks_path}")
     diag = model.diagnostics
+    exact = f" exact_moments={diag['exact_moments']}" if "exact_moments" in diag else ""
     print(f"family={model.family.value} loglik={diag.get('loglik'):.6f} "
-          f"converged={diag.get('converged')} {_q_summary(model)}")
+          f"converged={diag.get('converged')}{exact} {_q_summary(model)}")
     return 0
 
 

@@ -67,6 +67,7 @@ __all__ = [
 
 _EPS_Q = 1e-12
 _BINARY_EPS = 1e-9
+_REFINE_MAX_STEPS = 500  # per-block budget of the degree fixed point
 
 
 class ModelFamily(str, Enum):
@@ -257,9 +258,10 @@ class _RateParts:
 
     phi is normalized to sum 1 within each block, so Lambda carries the
     block totals. The factorization satisfies the first-moment equations
-    (block totals and degrees) on the actual pair space; ``exact`` is
-    False when the no-loop fixed point could not be solved and the
-    closed-form approximation was kept.
+    (block totals and degrees) on the actual pair space. ``exact`` is
+    False when the per-block fixed point failed for some block; its last
+    iterate is kept, which still matches that block's total but not its
+    degrees.
     """
 
     phi_out: np.ndarray
@@ -269,132 +271,79 @@ class _RateParts:
     iterations: int
 
 
-def _decompose_rates(g: MultiGraph, blocks: BlockAssignment, max_iter: int = 500) -> _RateParts:
+def _decompose_rates(g: MultiGraph, blocks: BlockAssignment) -> _RateParts:
     tall = block_tallies(g, blocks)
-    kout, kin = degrees(g)
-    kout = kout.astype(np.float64)
-    kin = kin.astype(np.float64)
+    kout, kin = (k.astype(np.float64) for k in degrees(g))
     lab = blocks.as_array()
-    B = blocks.n_blocks
 
     with np.errstate(invalid="ignore", divide="ignore"):
         phi_out = np.where(tall.kappa_out[lab] > 0, kout / tall.kappa_out[lab], 0.0)
         phi_in = np.where(tall.kappa_in[lab] > 0, kin / tall.kappa_in[lab], 0.0)
 
-    if g.directed and g.loops_allowed:
-        return _RateParts(phi_out, phi_in, tall.m.astype(np.float64), exact=True, iterations=0)
-
     Lambda = tall.m.astype(np.float64)
+    if g.directed and g.loops_allowed:
+        return _RateParts(phi_out, phi_in, Lambda, exact=True, iterations=0)
     if not g.directed:
-        Lambda = Lambda.copy()  # diagonal rescaled below; off-diagonal = unordered tallies
-        phi_in = phi_out  # tied for undirected graphs
+        phi_in = phi_out  # tied for undirected graphs; tall.m is symmetric
+    scale = 1.0 if g.directed else 2.0
 
     exact = True
     iterations = 0
-    for b in range(B):
+    for b in range(blocks.n_blocks):
         members = np.where(lab == b)[0]
-        mbb = float(tall.m[b, b])
-        if not g.directed:
-            ok, it = _refine_block_undirected(phi_out, members, kout, tall, b, Lambda, max_iter)
-        else:
-            ok, it = _refine_block_directed(phi_out, phi_in, members, kout, kin, tall, b, Lambda, max_iter)
+        ok, it = _refine_block(phi_out, phi_in, members, kout, kin, tall, b, Lambda, scale)
         iterations += it
-        if not ok:
-            exact = False
-            # keep the closed-form scaling; restore the raw tally scale
-            Lambda[b, b] = (2.0 if not g.directed else 1.0) * mbb
+        exact = exact and ok
     return _RateParts(phi_out, phi_in, Lambda, exact=exact, iterations=iterations)
 
 
-def _refine_block_undirected(phi, members, k, tall, b, Lambda, max_iter) -> tuple:
-    """Per-block fixed point matching degrees on loop-free undirected pairs.
+def _refine_block(phi_out, phi_in, members, kout, kin, tall, b, Lambda, scale) -> tuple:
+    """Per-block fixed point matching degrees on pair spaces without loops.
 
-    Within block b the degree equations read
-        k_i = phi_i * (T - Lbb * phi_i),  T = a_b + Lbb,
-    with a_b the multi-edges leaving the block and Lbb = 2 m_bb / (1 - S),
-    S = sum phi^2. Off-diagonal Lambda entries stay at the observed
-    tallies, which already satisfy the cross-block moment equations.
-    """
-    kb = k[members]
-    kappa = kb.sum()
-    if kappa == 0:
-        Lambda[b, b] = 0.0
-        return True, 0
-    a_b = float(tall.m[b].sum() - tall.m[b, b])
-    mbb = float(tall.m[b, b])
-    if mbb == 0.0:
-        Lambda[b, b] = 0.0
-        phi[members] = kb / a_b
-        return True, 0
-    x = kb / kappa
-    for it in range(1, max_iter + 1):
-        S = float(x @ x)
-        if S >= 1.0:
-            return False, it
-        lbb = 2.0 * mbb / (1.0 - S)
-        T = a_b + lbb
-        resid = np.max(np.abs(x * (T - lbb * x) - kb) / np.maximum(kb, 1.0))
-        if resid < 5e-14:
-            Lambda[b, b] = lbb
-            phi[members] = x
-            return True, it
-        disc = T * T - 4.0 * lbb * kb
-        if np.min(disc) < 0.0:
-            return False, it
-        x = 2.0 * kb / (T + np.sqrt(disc))
-        x = x / x.sum()
-    return False, max_iter
+    Degrees exclude the diagonal pair (i, i), so within block b
+        kout_i = phi_out_i * (T_out - Lbb * phi_in_i),  T_out = a_out + Lbb,
+    and symmetrically for kin, with a_out the multi-edges leaving the
+    block and Lbb = scale * m_bb / (1 - X), X = sum of phi_out * phi_in
+    over the block. ``scale`` is 1 for directed pairs and 2 for
+    undirected ones, whose tallies count a within-block pair once and
+    where phi_in is phi_out. Off-diagonal Lambda entries stay at the
+    observed tallies, which already satisfy the cross-block equations.
 
-
-def _refine_block_directed(phi_out, phi_in, members, kout, kin, tall, b, Lambda, max_iter) -> tuple:
-    """Fixed point for directed graphs without self-loops.
-
-    Degrees exclude the diagonal pair (i, i), so
-        kout_i = phi_out_i * (T_out - Lbb * phi_in_i)
-    and symmetrically for kin, with Lbb = m_bb / (1 - X), X = sum of
-    phi_out * phi_in over the block.
+    The reciprocal update x <- k / (T - Lbb x) is the loop-free analogue
+    of iterative proportional fitting. If it fails (X >= 1, a
+    non-positive denominator, or the budget runs out), the last iterate
+    is kept and False is returned.
     """
     ko = kout[members]
     ki = kin[members]
     mbb = float(tall.m[b, b])
     if mbb == 0.0:
         Lambda[b, b] = 0.0
-        a_out = float(tall.m[b].sum())
-        a_in = float(tall.m[:, b].sum())
         if ko.sum() > 0:
-            phi_out[members] = ko / a_out
+            phi_out[members] = ko / float(tall.m[b].sum())
         if ki.sum() > 0:
-            phi_in[members] = ki / a_in
+            phi_in[members] = ki / float(tall.m[:, b].sum())
         return True, 0
     a_out = float(tall.m[b].sum() - mbb)
     a_in = float(tall.m[:, b].sum() - mbb)
-    xo = ko / ko.sum() if ko.sum() > 0 else np.zeros_like(ko, dtype=float)
-    xi = ki / ki.sum() if ki.sum() > 0 else np.zeros_like(ki, dtype=float)
-    for it in range(1, max_iter + 1):
+    xo, xi = ko / ko.sum(), ki / ki.sum()
+    ok, kept = False, (xo, xi, Lambda[b, b])
+    for it in range(1, _REFINE_MAX_STEPS + 1):
         X = float(xo @ xi)
         if X >= 1.0:
-            return False, it
-        lbb = mbb / (1.0 - X)
-        t_out = a_out + lbb
-        t_in = a_in + lbb
-        r_out = np.max(np.abs(xo * (t_out - lbb * xi) - ko) / np.maximum(ko, 1.0))
-        r_in = np.max(np.abs(xi * (t_in - lbb * xo) - ki) / np.maximum(ki, 1.0))
-        if max(r_out, r_in) < 5e-14:
-            Lambda[b, b] = lbb
-            phi_out[members] = xo
-            phi_in[members] = xi
-            return True, it
-        den_o = t_out - lbb * xi
-        den_i = t_in - lbb * xo
-        if np.min(den_o) <= 0.0 or np.min(den_i) <= 0.0:
-            return False, it
-        xo = ko / den_o
-        if xo.sum() > 0:
-            xo = xo / xo.sum()
-        xi = ki / den_i
-        if xi.sum() > 0:
-            xi = xi / xi.sum()
-    return False, max_iter
+            break
+        lbb = scale * mbb / (1.0 - X)
+        kept = (xo, xi, lbb)
+        den_o, den_i = (a_out + lbb) - lbb * xi, (a_in + lbb) - lbb * xo
+        r_out = np.max(np.abs(xo * den_o - ko) / np.maximum(ko, 1.0))
+        r_in = np.max(np.abs(xi * den_i - ki) / np.maximum(ki, 1.0))
+        ok = bool(max(r_out, r_in) < 5e-14)
+        if ok or np.min(den_o) <= 0.0 or np.min(den_i) <= 0.0:
+            break
+        xo, xi = ko / den_o, ki / den_i
+        xo, xi = xo / xo.sum(), xi / xi.sum()
+    phi_out[members], phi_in[members], Lambda[b, b] = kept
+    return ok, it
 
 
 def _mean_rate_array(space: PairSpace, parts: _RateParts, lab: np.ndarray) -> np.ndarray:
@@ -410,13 +359,13 @@ def _optimize_mixture(counts: np.ndarray, rates: np.ndarray, cfg: OptimizerConfi
 
     ``rates`` holds the moment-locked mean counts r_ij, so the Poisson
     rate is r_ij / q and the expected multi-edges match the data for
-    every q. Returns (q_hat, value, iterations).
+    every q. Returns (q_hat, value, iterations, converged).
     """
     n_pairs = counts.size
     n_links = int(np.count_nonzero(counts))
     q_lo = n_links / n_pairs + _EPS_Q
     if q_lo >= 1.0:
-        return 1.0, _zip_loglik(counts, np.float64(1.0), rates), 0
+        return 1.0, _zip_loglik(counts, np.float64(1.0), rates), 0, True
 
     def profile(q):
         return _zip_loglik(counts, np.float64(q), rates / q)
@@ -431,8 +380,8 @@ def _optimize_mixture(counts: np.ndarray, rates: np.ndarray, cfg: OptimizerConfi
         lo, hi = q_lo, 1.0
     res = maximize_scalar_bounded(profile, float(lo), float(hi), cfg)
     if vals[k] > res.value:
-        return float(grid[k]), float(vals[k]), res.iterations
-    return float(res.x), float(res.value), res.iterations
+        return float(grid[k]), float(vals[k]), res.iterations, res.converged
+    return float(res.x), float(res.value), res.iterations, res.converged
 
 
 # -- fitting -------------------------------------------------------------------
@@ -469,7 +418,9 @@ def fit_poisson(family, g: MultiGraph, blocks: Optional[BlockAssignment] = None)
 
     Rate parameters come from the first-moment equations, so all
     expected totals (multi-edges, block tallies, degrees) reproduce the
-    observations exactly.
+    observations to near machine precision. For clcm and dcsbm on pair
+    spaces without self-loops the degrees come from a per-block fixed
+    point; ``diagnostics["exact_moments"]`` is False if it failed.
     """
     family = ModelFamily(family)
     if family.zero_inflated:
@@ -620,7 +571,7 @@ def fit_zi_clcm(g: MultiGraph, cfg: Optional[OptimizerConfig] = None) -> FittedM
     parts = _decompose_rates(g, blk)
     rates = _mean_rate_array(g.space, parts, blk.as_array())
     counts = g.count_vector()
-    q, value, iters = _optimize_mixture(counts, rates, cfg)
+    q, value, iters, converged = _optimize_mixture(counts, rates, cfg)
     scale = math.sqrt(parts.Lambda[0, 0] / q)
     theta_out = parts.phi_out * scale
     theta_in = parts.phi_in * scale if g.directed else theta_out
@@ -629,6 +580,7 @@ def fit_zi_clcm(g: MultiGraph, cfg: Optional[OptimizerConfig] = None) -> FittedM
                         constraint={"type": "theta_sum", "values": [scale]})
     model.diagnostics.update(_base_diag(g, parts))
     model.diagnostics["iterations"] = iters
+    model.diagnostics["converged"] = converged
     model.diagnostics["loglik"] = value
     return model
 
@@ -676,16 +628,18 @@ def fit_zi_dcsbm(g: MultiGraph, blocks: BlockAssignment,
 
     qmat = np.zeros((B, B))
     total_iters = 0
+    converged = True
     loglik = 0.0
     for (b, d), sel in sorted(groups.items()):
         sub_counts = counts[sel]
         if not np.any(sub_counts):
             continue  # q = 0 convention for empty block pairs
-        q, value, iters = _optimize_mixture(sub_counts, rates[sel], cfg)
+        q, value, iters, ok = _optimize_mixture(sub_counts, rates[sel], cfg)
         qmat[b, d] = q
         if not g.directed and b != d:
             qmat[d, b] = q
         total_iters += iters
+        converged = converged and ok
         loglik += value
     # empty block pairs contribute log 1 = 0 per pair
 
@@ -701,6 +655,7 @@ def fit_zi_dcsbm(g: MultiGraph, blocks: BlockAssignment,
                         constraint={"type": "block_theta_sum", "values": list(map(float, cvec))})
     model.diagnostics.update(_base_diag(g, parts))
     model.diagnostics["iterations"] = total_iters
+    model.diagnostics["converged"] = converged
     model.diagnostics["n_mixture_problems"] = B * B if g.directed else B * (B + 1) // 2
     model.diagnostics["loglik"] = loglik
     return model

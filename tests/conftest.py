@@ -1,12 +1,14 @@
 """Shared generators and dataset discovery for the test suite."""
 
+import functools
 import os
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from zipnets import MultiGraph, BlockAssignment
+from zipnets import MultiGraph, BlockAssignment, PairSpace, sample
+from zipnets.models import FittedModel, ModelFamily
 from zipnets.datasets import default_cache_dir, default_registry
 
 
@@ -48,6 +50,39 @@ def planted_zi_graph(seed, n, directed=False, loops=False, q=0.5, rate=4.0,
     nz = counts > 0
     pairs = {(int(a), int(b)): int(w) for a, b, w in zip(ii[nz], jj[nz], counts[nz])}
     return MultiGraph([f"v{k}" for k in range(n)], pairs, directed=directed, loops=loops)
+
+
+@functools.lru_cache(maxsize=None)
+def zi_block_surrogate(kind):
+    """Sparse heavy-tailed test graphs shaped like the two benchmark
+    regimes: a small dense-ish one (47 nodes) and a larger sparse one
+    (120 nodes). Both are draws from a planted zero-inflated block
+    model, so the zero-inflated fit is well-specified and the plain fit
+    is not."""
+    if kind == "small":
+        seed, n, b, rate, sigma, q_in, q_out = 101, 47, 3, 60.0, 1.3, 0.75, 0.25
+    else:
+        seed, n, b, rate, sigma, q_in, q_out = 7, 120, 5, 30.0, 1.1, 0.35, 0.05
+    rng = np.random.default_rng(seed)
+    sizes = [n // b] * b
+    for k in range(n - sum(sizes)):
+        sizes[k] += 1
+    labels = np.repeat(np.arange(b), sizes)
+    blocks = BlockAssignment(labels=tuple(int(x) for x in labels), n_blocks=b)
+    theta = rng.lognormal(0.0, sigma, size=n)
+    for c in range(b):
+        sel = labels == c
+        theta[sel] /= theta[sel].sum()
+    nb = np.bincount(labels)
+    lam = rate * np.outer(nb, nb).astype(float)
+    lam[np.eye(b, dtype=bool)] *= 2.0
+    qmat = np.full((b, b), q_out)
+    np.fill_diagonal(qmat, q_in)
+    truth = FittedModel(ModelFamily.ZI_DCSBM, PairSpace(n, False, False),
+                        blocks=blocks, theta_out=theta, theta_in=theta,
+                        lambda_blocks=lam, q_blocks=qmat)
+    return sample(truth, seed)
+
 
 
 def random_blocks(seed, n, b):

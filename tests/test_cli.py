@@ -91,6 +91,15 @@ class TestFit:
         assert blocks_path.exists()
         assert len(blocks_path.read_text().strip().splitlines()) == 18
 
+    def test_summary_reports_exact_moments(self, graph_file, tmp_path, capsys):
+        assert main(["fit", "--input", str(graph_file), "--family", "dcsbm",
+                     "--blocks", "detect", "--seed", "7",
+                     "--out", str(tmp_path / "m.json")]) == 0
+        assert "converged=True exact_moments=True " in capsys.readouterr().out
+        assert main(["fit", "--input", str(graph_file), "--family", "zi_gnp",
+                     "--out", str(tmp_path / "g.json")]) == 0
+        assert "exact_moments" not in capsys.readouterr().out
+
     def test_blocks_required(self, graph_file, tmp_path):
         code = main(["fit", "--input", str(graph_file), "--family", "zi_sbm",
                      "--out", str(tmp_path / "m.json")])

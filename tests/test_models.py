@@ -4,15 +4,19 @@ import math
 import numpy as np
 import pytest
 import scipy.stats
+from hypothesis import given, settings, strategies as st
 
 from zipnets import (
     BlockAssignment,
     DataError,
     MultiGraph,
+    OptimizerConfig,
     PairLaw,
     PairSpace,
     PairSpaceMismatch,
+    block_tallies,
     degrees,
+    detect_communities,
     expected_count_distribution,
     expected_degrees,
     expected_edges_links,
@@ -33,8 +37,8 @@ from zipnets import (
     single_block,
     zip_pmf,
 )
-from zipnets.models import FittedModel, ModelFamily, _pair_arrays
-from conftest import graph_from_matrix, planted_zi_graph, random_blocks
+from zipnets.models import FittedModel, ModelFamily, _decompose_rates, _pair_arrays
+from conftest import graph_from_matrix, planted_zi_graph, random_blocks, zi_block_surrogate
 
 
 class TestZipPmf:
@@ -421,6 +425,118 @@ class TestFitZiDcsbm:
         g = MultiGraph(list("abcd"), {(0, 1): 3}, directed=False, loops=False)
         with pytest.raises(DataError, match="block 1"):
             fit_zi_dcsbm(g, BlockAssignment(labels=(0, 0, 1, 1), n_blocks=2))
+
+
+class TestMixtureConvergence:
+    def test_budget_of_one_step_is_not_converged(self):
+        g = planted_zi_graph(14, 30, q=0.5, rate=5.0)
+        blocks = random_blocks(15, 30, 3)
+        cfg = OptimizerConfig(max_iterations=1)
+        assert fit_zi_clcm(g, cfg).diagnostics["converged"] is False
+        assert fit_zi_dcsbm(g, blocks, cfg).diagnostics["converged"] is False
+        assert fit_zi_clcm(g).diagnostics["converged"] is True
+        assert fit_zi_dcsbm(g, blocks).diagnostics["converged"] is True
+
+
+def _refine_block_undirected(phi, members, k, tall, b, Lambda, max_iter):
+    """The quadratic per-block update the reciprocal fixed point replaced,
+    kept verbatim as a reference for undirected pair spaces."""
+    kb = k[members]
+    kappa = kb.sum()
+    if kappa == 0:
+        Lambda[b, b] = 0.0
+        return True, 0
+    a_b = float(tall.m[b].sum() - tall.m[b, b])
+    mbb = float(tall.m[b, b])
+    if mbb == 0.0:
+        Lambda[b, b] = 0.0
+        phi[members] = kb / a_b
+        return True, 0
+    x = kb / kappa
+    for it in range(1, max_iter + 1):
+        S = float(x @ x)
+        if S >= 1.0:
+            return False, it
+        lbb = 2.0 * mbb / (1.0 - S)
+        T = a_b + lbb
+        resid = np.max(np.abs(x * (T - lbb * x) - kb) / np.maximum(kb, 1.0))
+        if resid < 5e-14:
+            Lambda[b, b] = lbb
+            phi[members] = x
+            return True, it
+        disc = T * T - 4.0 * lbb * kb
+        if np.min(disc) < 0.0:
+            return False, it
+        x = 2.0 * kb / (T + np.sqrt(disc))
+        x = x / x.sum()
+    return False, max_iter
+
+
+# an undirected block whose hub leaves the quadratic update without a
+# real root at its first step
+_HUB_PAIRS = {(0, 1): 6, (0, 2): 1, (0, 3): 1, (0, 5): 9, (0, 6): 7,
+              (1, 3): 1, (1, 5): 1, (1, 7): 1, (2, 7): 1, (3, 4): 1}
+
+
+def _assert_moments(model, g, tol):
+    assert model.diagnostics["exact_moments"] is True
+    e_m, _ = expected_edges_links(model)
+    assert abs(e_m - g.n_multiedges) <= tol * g.n_multiedges
+    kout, kin = degrees(g)
+    e_out, e_in = expected_degrees(model)
+    assert np.all(np.abs(e_out - kout) <= tol * np.maximum(kout, 1))
+    assert np.all(np.abs(e_in - kin) <= tol * np.maximum(kin, 1))
+
+
+class TestMomentFixedPoint:
+    def test_hub_blocks_match_moments(self):
+        g = zi_block_surrogate("small")
+        blocks = detect_communities(g, seed=11)
+        _assert_moments(fit_poisson("dcsbm", g, blocks), g, 1e-12)
+        _assert_moments(fit_zi_dcsbm(g, blocks), g, 1e-12)
+        hub = MultiGraph([f"v{k}" for k in range(8)], _HUB_PAIRS, directed=False, loops=False)
+        tall = block_tallies(hub, single_block(8))
+        k = degrees(hub)[0].astype(float)
+        ok, _ = _refine_block_undirected(np.zeros(8), np.arange(8), k, tall, 0,
+                                         tall.m.astype(float), 500)
+        assert not ok
+        _assert_moments(fit_poisson("clcm", hub), hub, 1e-12)
+        _assert_moments(fit_poisson("dcsbm", hub, single_block(8)), hub, 1e-12)
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.data())
+    def test_matches_quadratic_update_where_it_converges(self, data):
+        n = data.draw(st.integers(3, 12))
+        pair = st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)).filter(lambda p: p[0] != p[1])
+        entries = data.draw(st.lists(st.tuples(pair, st.integers(1, 20)), min_size=1, max_size=3 * n))
+        pairs = {}
+        for (i, j), w in entries:
+            key = (min(i, j), max(i, j))
+            pairs[key] = pairs.get(key, 0) + w
+        g = MultiGraph([f"v{k}" for k in range(n)], pairs, directed=False, loops=False)
+        n_blocks = data.draw(st.integers(1, 3))
+        blocks = random_blocks(data.draw(st.integers(0, 2 ** 32 - 1)), n, n_blocks)
+
+        parts = _decompose_rates(g, blocks)
+        tall = block_tallies(g, blocks)
+        k = degrees(g)[0].astype(float)
+        lab = blocks.as_array()
+        kappa = tall.kappa_out[lab]
+        with np.errstate(invalid="ignore", divide="ignore"):
+            phi = np.where(kappa > 0, k / kappa, 0.0)
+        Lambda = tall.m.astype(float)
+        for b in range(n_blocks):
+            members = np.where(lab == b)[0]
+            ok, _ = _refine_block_undirected(phi, members, k, tall, b, Lambda, 500)
+            if ok:
+                assert np.allclose(parts.phi_out[members], phi[members], rtol=1e-12, atol=0)
+                assert parts.Lambda[b, b] == pytest.approx(Lambda[b, b], rel=1e-12, abs=0)
+        assert np.array_equal(parts.phi_in, parts.phi_out)
+
+        if np.all(tall.kappa_out > 0):
+            for model in (fit_poisson("dcsbm", g, blocks), fit_zi_dcsbm(g, blocks)):
+                if model.diagnostics["exact_moments"]:
+                    _assert_moments(model, g, 1e-10)
 
 
 class TestFitNodeLevel:
