@@ -182,6 +182,8 @@ def _cmd_fit(args) -> int:
         print(f"blocks written to {blocks_path}")
     diag = model.diagnostics
     exact = f" exact_moments={diag['exact_moments']}" if "exact_moments" in diag else ""
+    if "moment_residual" in diag:
+        exact += f" moment_residual={diag['moment_residual']:.3g}"
     print(f"family={model.family.value} loglik={diag.get('loglik'):.6f} "
           f"converged={diag.get('converged')}{exact} {_q_summary(model)}")
     return 0
@@ -298,9 +300,9 @@ def _random_block_graph(n: int, b: int, rng: np.random.Generator) -> tuple:
     rates *= 10.0 * n * n / rates.sum() / max(density, 0.05)
     active = rng.random((n, n)) < density
     counts = np.where(active, rng.poisson(rates * max(density, 0.05)), 0)
-    pairs = {(int(i), int(j)): int(counts[i, j])
-             for i, j in zip(*np.nonzero(counts))}
-    g = MultiGraph([f"v{k}" for k in range(n)], pairs, directed=True, loops=True)
+    rows, cols = np.nonzero(counts)
+    g = MultiGraph([f"v{k}" for k in range(n)], (rows, cols, counts[rows, cols]),
+                   directed=True, loops=True)
     return g, assignment
 
 

@@ -68,6 +68,7 @@ __all__ = [
 _EPS_Q = 1e-12
 _BINARY_EPS = 1e-9
 _REFINE_MAX_STEPS = 500  # per-block budget of the degree fixed point
+_REFINE_TOL = 5e-14  # relative degree residual the fixed point must reach
 
 
 class ModelFamily(str, Enum):
@@ -261,7 +262,8 @@ class _RateParts:
     (block totals and degrees) on the actual pair space. ``exact`` is
     False when the per-block fixed point failed for some block; its last
     iterate is kept, which still matches that block's total but not its
-    degrees.
+    degrees. ``residual`` is the largest relative degree residual over
+    the blocks.
     """
 
     phi_out: np.ndarray
@@ -269,6 +271,7 @@ class _RateParts:
     Lambda: np.ndarray
     exact: bool
     iterations: int
+    residual: float
 
 
 def _decompose_rates(g: MultiGraph, blocks: BlockAssignment) -> _RateParts:
@@ -282,19 +285,16 @@ def _decompose_rates(g: MultiGraph, blocks: BlockAssignment) -> _RateParts:
 
     Lambda = tall.m.astype(np.float64)
     if g.directed and g.loops_allowed:
-        return _RateParts(phi_out, phi_in, Lambda, exact=True, iterations=0)
+        return _RateParts(phi_out, phi_in, Lambda, exact=True, iterations=0, residual=0.0)
     if not g.directed:
         phi_in = phi_out  # tied for undirected graphs; tall.m is symmetric
     scale = 1.0 if g.directed else 2.0
 
-    exact = True
-    iterations = 0
-    for b in range(blocks.n_blocks):
-        members = np.where(lab == b)[0]
-        ok, it = _refine_block(phi_out, phi_in, members, kout, kin, tall, b, Lambda, scale)
-        iterations += it
-        exact = exact and ok
-    return _RateParts(phi_out, phi_in, Lambda, exact=exact, iterations=iterations)
+    its, rs = zip(*(_refine_block(phi_out, phi_in, np.where(lab == b)[0], kout, kin, tall, b,
+                                  Lambda, scale) for b in range(blocks.n_blocks)))
+    rs = np.array(rs)
+    return _RateParts(phi_out, phi_in, Lambda, exact=bool(np.all(rs < _REFINE_TOL)),
+                      iterations=sum(its), residual=float(rs.max()))
 
 
 def _refine_block(phi_out, phi_in, members, kout, kin, tall, b, Lambda, scale) -> tuple:
@@ -306,44 +306,43 @@ def _refine_block(phi_out, phi_in, members, kout, kin, tall, b, Lambda, scale) -
     block and Lbb = scale * m_bb / (1 - X), X = sum of phi_out * phi_in
     over the block. ``scale`` is 1 for directed pairs and 2 for
     undirected ones, whose tallies count a within-block pair once and
-    where phi_in is phi_out. Off-diagonal Lambda entries stay at the
-    observed tallies, which already satisfy the cross-block equations.
+    where phi_in is phi_out; there only the out-half is iterated. Off-
+    diagonal Lambda entries stay at the observed tallies, which already
+    satisfy the cross-block equations.
 
     The reciprocal update x <- k / (T - Lbb x) is the loop-free analogue
     of iterative proportional fitting. If it fails (X >= 1, a
     non-positive denominator, or the budget runs out), the last iterate
-    is kept and False is returned.
+    is kept. Returns (iterations, the kept iterate's largest relative
+    degree residual).
     """
-    ko = kout[members]
-    ki = kin[members]
     mbb = float(tall.m[b, b])
-    if mbb == 0.0:
-        Lambda[b, b] = 0.0
-        if ko.sum() > 0:
-            phi_out[members] = ko / float(tall.m[b].sum())
-        if ki.sum() > 0:
-            phi_in[members] = ki / float(tall.m[:, b].sum())
-        return True, 0
-    a_out = float(tall.m[b].sum() - mbb)
-    a_in = float(tall.m[:, b].sum() - mbb)
-    xo, xi = ko / ko.sum(), ki / ki.sum()
-    ok, kept = False, (xo, xi, Lambda[b, b])
+    if mbb == 0.0:  # the starting phi = k / kappa already solves the block
+        return 0, 0.0
+    ks = [kout[members]] if phi_in is phi_out else [kout[members], kin[members]]
+    a = [float(tall.m[b].sum() - mbb), float(tall.m[:, b].sum() - mbb)][:len(ks)]
+
+    def residual(xs, lbb):
+        # each half's denominator T - Lbb x takes the other half's iterate
+        dens = [(a_h + lbb) - lbb * x_other for a_h, x_other in zip(a, xs[::-1])]
+        r = max(np.max(np.abs(x * den - k) / np.maximum(k, 1.0)) for x, den, k in zip(xs, dens, ks))
+        return float(r), dens
+
+    xs = [k / k.sum() for k in ks]
+    kept = (xs, Lambda[b, b])
     for it in range(1, _REFINE_MAX_STEPS + 1):
-        X = float(xo @ xi)
+        X = float(xs[0] @ xs[-1])
         if X >= 1.0:
             break
         lbb = scale * mbb / (1.0 - X)
-        kept = (xo, xi, lbb)
-        den_o, den_i = (a_out + lbb) - lbb * xi, (a_in + lbb) - lbb * xo
-        r_out = np.max(np.abs(xo * den_o - ko) / np.maximum(ko, 1.0))
-        r_in = np.max(np.abs(xi * den_i - ki) / np.maximum(ki, 1.0))
-        ok = bool(max(r_out, r_in) < 5e-14)
-        if ok or np.min(den_o) <= 0.0 or np.min(den_i) <= 0.0:
+        kept = (xs, lbb)
+        r, dens = residual(xs, lbb)
+        if r < _REFINE_TOL or min(np.min(den) for den in dens) <= 0.0:
             break
-        xo, xi = ko / den_o, ki / den_i
-        xo, xi = xo / xo.sum(), xi / xi.sum()
-    phi_out[members], phi_in[members], Lambda[b, b] = kept
-    return ok, it
+        xs = [x / x.sum() for x in (k / den for k, den in zip(ks, dens))]
+    xs, lbb = kept
+    phi_out[members], phi_in[members], Lambda[b, b] = xs[0], xs[-1], lbb
+    return it, residual(xs, lbb)[0]
 
 
 def _mean_rate_array(space: PairSpace, parts: _RateParts, lab: np.ndarray) -> np.ndarray:
@@ -392,6 +391,8 @@ def _base_diag(g: MultiGraph, parts: Optional[_RateParts]) -> dict:
     if parts is not None:
         diag["exact_moments"] = parts.exact
         diag["refine_iterations"] = parts.iterations
+        if not parts.exact:
+            diag["moment_residual"] = parts.residual
     return diag
 
 
@@ -428,7 +429,7 @@ def fit_poisson(family, g: MultiGraph, blocks: Optional[BlockAssignment] = None)
     if g.n_multiedges == 0:
         raise DataError("cannot fit an empty graph (no multi-edges)")
     blk = _require_blocks(family, blocks, g)
-
+    parts = None
     if family is ModelFamily.GNP:
         model = FittedModel(family, g.space, node_ids=g.node_ids,
                             p=g.n_multiedges / g.n_pairs)
@@ -457,10 +458,7 @@ def fit_poisson(family, g: MultiGraph, blocks: Optional[BlockAssignment] = None)
                                 lambda_blocks=parts.Lambda,
                                 constraint={"type": "block_theta_sum",
                                             "values": [1.0] * blk.n_blocks})
-        model.diagnostics.update(_base_diag(g, parts))
-        model.diagnostics["loglik"] = log_likelihood(model, g)
-        return model
-    model.diagnostics.update(_base_diag(g, None))
+    model.diagnostics.update(_base_diag(g, parts))
     model.diagnostics["loglik"] = log_likelihood(model, g)
     return model
 
@@ -593,14 +591,8 @@ def _block_pair_groups(space: PairSpace, lab: np.ndarray, B: int) -> dict:
         b, d = np.minimum(b, d), np.maximum(b, d)
     code = b * B + d
     order = np.argsort(code, kind="stable")
-    sorted_code = code[order]
-    groups = {}
-    bounds = np.searchsorted(sorted_code, np.arange(B * B + 1))
-    for c in range(B * B):
-        sel = order[bounds[c]:bounds[c + 1]]
-        if sel.size:
-            groups[(c // B, c % B)] = sel
-    return groups
+    cells, starts = np.unique(code[order], return_index=True)
+    return {divmod(int(c), B): sel for c, sel in zip(cells, np.split(order, starts[1:]))}
 
 
 def fit_zi_dcsbm(g: MultiGraph, blocks: BlockAssignment,
@@ -856,8 +848,7 @@ def expected_degrees(model: FittedModel) -> tuple:
     e_out = np.bincount(ii, weights=mean, minlength=n)
     e_in = np.bincount(jj, weights=mean, minlength=n)
     if not model.space.directed:
-        e_out = e_out + e_in
-        e_in = e_out
+        e_out = e_in = e_out + e_in
     return e_out, e_in
 
 
@@ -892,10 +883,10 @@ def sample(model: FittedModel, seed: int) -> MultiGraph:
     counts = np.zeros(q.size, dtype=np.int64)
     if np.any(active):
         counts[active] = rng.poisson(lam[active])
-    nz = counts > 0
+    nz = np.flatnonzero(counts)  # the constructor drops zeros too, but over all P pairs
     node_ids = model.node_ids or tuple(f"v{k}" for k in range(model.space.n))
-    pairs = {(int(a), int(b)): int(w) for a, b, w in zip(ii[nz], jj[nz], counts[nz])}
-    return MultiGraph(node_ids, pairs, model.space.directed, model.space.loops)
+    return MultiGraph(node_ids, (ii[nz], jj[nz], counts[nz]), model.space.directed,
+                      model.space.loops)
 
 
 # -- serialization ---------------------------------------------------------------

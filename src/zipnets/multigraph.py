@@ -19,7 +19,10 @@ import contextlib
 import gzip
 import io
 import json
+from collections.abc import Mapping
 from dataclasses import dataclass, field
+from operator import itemgetter
+from types import MappingProxyType
 from typing import Iterator, Optional, Sequence, TextIO
 
 import numpy as np
@@ -73,20 +76,13 @@ class PairSpace:
         return n * (n - 1) // 2
 
     def admissible(self, i: int, j: int) -> bool:
-        n = self.n
-        if not (0 <= i < n and 0 <= j < n):
-            return False
-        if i == j and not self.loops:
-            return False
-        return True
+        return 0 <= i < self.n and 0 <= j < self.n and (self.loops or i != j)
 
     def canonical(self, i: int, j: int) -> tuple:
         """Canonical key for the pair (i <= j when undirected)."""
         if not self.admissible(i, j):
             raise DataError(f"pair ({i}, {j}) is not admissible in this pair space")
-        if not self.directed and i > j:
-            return (j, i)
-        return (i, j)
+        return (j, i) if not self.directed and i > j else (i, j)
 
     def pair_indices(self) -> tuple:
         """Row/column index arrays enumerating all pairs in canonical order.
@@ -97,8 +93,7 @@ class PairSpace:
         """
         n = self.n
         if self.directed:
-            ii, jj = np.meshgrid(np.arange(n), np.arange(n), indexing="ij")
-            ii, jj = ii.ravel(), jj.ravel()
+            ii, jj = np.divmod(np.arange(n * n), n)
             if not self.loops:
                 keep = ii != jj
                 ii, jj = ii[keep], jj[keep]
@@ -110,15 +105,24 @@ class PairSpace:
 class MultiGraph:
     """Immutable integer-count multigraph over a fixed pair space.
 
+    The graph is stored once, as read-only arrays over its connected
+    pairs: canonical rows and cols (i <= j when undirected), their
+    sorted positions in the pair enumeration, and positive int64 counts.
+    Every other view derives from these; ``counts`` builds a read-only
+    {(i, j): w} mapping on each access.
+
     Parameters
     ----------
     node_ids:
         External string labels, one per node. Position defines the
         dense index used everywhere else.
     counts:
-        Mapping from (i, j) index pairs to positive integer counts.
-        Keys are canonicalized; duplicate keys that map to the same
-        canonical pair are summed.
+        A mapping from (i, j) index pairs to integer counts, or a
+        (rows, cols, counts) triple of integer arrays. Zero counts are
+        dropped, undirected pairs are canonicalized and entries that
+        map to the same canonical pair are summed. A negative count, or
+        a nonzero count on an inadmissible pair, raises DataError for
+        the first such entry.
     directed, loops:
         Pair-space policy flags.
     """
@@ -129,16 +133,10 @@ class MultiGraph:
             raise DataError("duplicate node labels")
         self.node_ids = tuple(ids)
         self.space = PairSpace(len(ids), directed, loops)
-        store: dict = {}
-        for (i, j), w in dict(counts).items():
-            w = int(w)
-            if w < 0:
-                raise DataError(f"negative count for pair ({i}, {j})")
-            if w == 0:
-                continue
-            key = self.space.canonical(int(i), int(j))
-            store[key] = store.get(key, 0) + w
-        self.counts = store
+        if isinstance(counts, Mapping):
+            keys = np.array(list(counts)).reshape(-1, 2)
+            counts = (keys[:, 0], keys[:, 1], list(counts.values()))
+        self._rows, self._cols, self._pos, self._w = _canonical_edges(self.space, *counts)
         self._index = {label: k for k, label in enumerate(self.node_ids)}
 
     # -- basic accessors ---------------------------------------------------
@@ -163,15 +161,23 @@ class MultiGraph:
     @property
     def n_multiedges(self) -> int:
         """Total number of interactions m."""
-        return sum(self.counts.values())
+        return int(self._w.sum())
 
     @property
     def n_links(self) -> int:
         """Number of connected pairs M."""
-        return len(self.counts)
+        return int(self._w.size)
+
+    @property
+    def counts(self) -> Mapping:
+        """Read-only {(i, j): w} mapping of the connected pairs, in canonical order."""
+        keys = zip(self._rows.tolist(), self._cols.tolist())
+        return MappingProxyType(dict(zip(keys, self._w.tolist())))
 
     def count(self, i: int, j: int) -> int:
-        return self.counts.get(self.space.canonical(i, j), 0)
+        pos = _pair_positions(self.space, *self.space.canonical(i, j))
+        at = int(np.searchsorted(self._pos, pos))
+        return int(self._w[at]) if at < self._pos.size and self._pos[at] == pos else 0
 
     def index_of(self, label: str) -> int:
         try:
@@ -180,33 +186,59 @@ class MultiGraph:
             raise DataError(f"unknown node label {label!r}") from None
 
     def edge_arrays(self) -> tuple:
-        """(rows, cols, counts) of the connected pairs, in canonical pair order."""
-        keys = np.array(list(self.counts), dtype=np.int64).reshape(-1, 2)
-        w = np.fromiter(self.counts.values(), dtype=np.int64, count=len(self.counts))
-        order = np.argsort(_pair_positions(self.space, keys[:, 0], keys[:, 1]))
-        return keys[order, 0], keys[order, 1], w[order]
+        """Read-only (rows, cols, counts) of the connected pairs, in canonical pair order."""
+        return self._rows, self._cols, self._w
 
     def count_vector(self) -> np.ndarray:
         """Counts over the full pair space in canonical enumeration order."""
         vec = np.zeros(self.space.size, dtype=np.int64)
-        rows, cols, w = self.edge_arrays()
-        vec[_pair_positions(self.space, rows, cols)] = w
+        vec[self._pos] = self._w
         return vec
 
     def dense_matrix(self) -> np.ndarray:
         """Dense count matrix; symmetric for undirected graphs."""
         n = self.n_nodes
         mat = np.zeros((n, n), dtype=np.int64)
-        rows, cols, w = self.edge_arrays()
-        mat[rows, cols] = w
+        mat[self._rows, self._cols] = self._w
         if not self.directed:
-            mat[cols, rows] = w
+            mat[self._cols, self._rows] = self._w
         return mat
 
     def __repr__(self):
         kind = "directed" if self.directed else "undirected"
         return (f"MultiGraph(n={self.n_nodes}, {kind}, loops={self.loops_allowed}, "
                 f"M={self.n_links}, m={self.n_multiedges})")
+
+
+def _canonical_edges(space: PairSpace, rows, cols, counts) -> tuple:
+    """Read-only (rows, cols, positions, counts) of the nonzero entries:
+    canonical, sorted by pair position, with duplicate pairs summed."""
+    rows, cols, w = (np.asarray(x) for x in (rows, cols, counts))
+    if (rows.ndim != 1 or not rows.shape == cols.shape == w.shape
+            or any(a.size and a.dtype.kind not in "iu" for a in (rows, cols, w))):
+        raise DataError("rows, cols and counts must be integer 1-d arrays of one length")
+    rows, cols, w = (a.astype(np.int64) for a in (rows, cols, w))
+    inside = ((np.minimum(rows, cols) >= 0) & (np.maximum(rows, cols) < space.n)
+              & (space.loops | (rows != cols)))
+    bad = (w < 0) | ((w != 0) & ~inside)
+    if bad.any():
+        k = int(np.argmax(bad))
+        pair = f"pair ({rows[k]}, {cols[k]})"
+        raise DataError(f"negative count for {pair}" if w[k] < 0
+                        else f"{pair} is not admissible in this pair space")
+    keep = w != 0
+    rows, cols, w = rows[keep], cols[keep], w[keep]
+    if not space.directed:
+        rows, cols = np.minimum(rows, cols), np.maximum(rows, cols)
+    pos = _pair_positions(space, rows, cols)
+    order = np.argsort(pos)  # entries that tie are one canonical pair
+    pos = pos[order]
+    first = np.flatnonzero(np.diff(pos, prepend=-1))
+    pick = order[first]
+    out = rows[pick], cols[pick], pos[first], np.add.reduceat(w[order], first)
+    for a in out:
+        a.flags.writeable = False
+    return out
 
 
 def _pair_positions(space: PairSpace, ii: np.ndarray, jj: np.ndarray) -> np.ndarray:
@@ -316,21 +348,31 @@ def aggregate_contacts(log: TemporalContactLog, time_window: Optional[tuple] = N
     (half-open, [t0, t1)). The node set always covers every label in
     the full log so that graphs built from different windows share N.
     """
+    labels, rows, cols = _record_pairs(log)
+    if time_window is not None:
+        t0, t1 = time_window
+        t = _timestamps(log)
+        inside = (t0 <= t) & (t < t1)
+        if not inside.any():
+            raise DataError(f"time window [{t0}, {t1}) contains no records")
+        rows, cols = rows[inside], cols[inside]
+    return MultiGraph(labels, (rows, cols, np.ones(rows.size, dtype=np.int64)),
+                      directed=False, loops=False)
+
+
+def _record_pairs(log: TemporalContactLog) -> tuple:
+    """(labels, rows, cols): node labels in order of first appearance and
+    the two node indices of each record."""
     labels = log.labels()
     index = {lab: k for k, lab in enumerate(labels)}
-    if time_window is None:
-        selected = log.records
-    else:
-        t0, t1 = time_window
-        selected = [r for r in log.records if t0 <= r[0] < t1]
-        if not selected:
-            raise DataError(f"time window [{t0}, {t1}) contains no records")
-    counts: dict = {}
-    for _, a, b in selected:
-        i, j = index[a], index[b]
-        key = (i, j) if i < j else (j, i)
-        counts[key] = counts.get(key, 0) + 1
-    return MultiGraph(labels, counts, directed=False, loops=False)
+    rows, cols = (np.fromiter(map(index.__getitem__, map(itemgetter(k), log.records)),
+                              dtype=np.int64, count=len(log.records)) for k in (1, 2))
+    return labels, rows, cols
+
+
+def _timestamps(log: TemporalContactLog) -> np.ndarray:
+    # int64, or an object array when a timestamp does not fit in 64 bits
+    return np.array(list(map(itemgetter(0), log.records)))
 
 
 def parse_weighted_edgelist(stream, directed: bool, loops: bool) -> MultiGraph:
@@ -340,14 +382,7 @@ def parse_weighted_edgelist(stream, directed: bool, loops: bool) -> MultiGraph:
     in order of first appearance.
     """
     index: dict = {}
-    counts: dict = {}
-
-    def node(label):
-        if label not in index:
-            index[label] = len(index)
-        return index[label]
-
-    n_lines = 0
+    rows, cols, weights = [], [], []
     with _open_maybe_gzip(stream) as fh:
         for lineno, line in enumerate(fh, start=1):
             text = line.split("#", 1)[0].strip()
@@ -365,14 +400,12 @@ def parse_weighted_edgelist(stream, directed: bool, loops: bool) -> MultiGraph:
                 raise ParseError(f"weight must be positive, got {w}", line=lineno)
             if a == b and not loops:
                 raise ParseError(f"self-loop {a!r} not allowed", line=lineno)
-            i, j = node(a), node(b)
-            if not directed and i > j:
-                i, j = j, i
-            counts[(i, j)] = counts.get((i, j), 0) + w
-            n_lines += 1
-    if n_lines == 0:
+            rows.append(index.setdefault(a, len(index)))
+            cols.append(index.setdefault(b, len(index)))
+            weights.append(w)
+    if not weights:
         raise ParseError("no edges found")
-    return MultiGraph(list(index), counts, directed=directed, loops=loops)
+    return MultiGraph(list(index), (rows, cols, weights), directed=directed, loops=loops)
 
 
 # -- statistics --------------------------------------------------------------
@@ -423,22 +456,13 @@ class GraphSummary:
 def summary_stats(g: MultiGraph) -> GraphSummary:
     """N, M, m, d = M/P, rho = m/P and the excess kurtosis of the edge
     count distribution over all P pairs (zeros included)."""
-    P = g.n_pairs
-    M = g.n_links
-    m = g.n_multiedges
-    vec = g.count_vector()
+    P, M, m = g.n_pairs, g.n_links, g.n_multiedges
     try:
-        kurt = excess_kurtosis(vec)
-    except Exception:
+        kurt = excess_kurtosis(g.count_vector())
+    except (DataError, NumericalError):  # one pair, or all counts equal
         kurt = float("nan")
-    return GraphSummary(
-        n_nodes=g.n_nodes,
-        n_links=M,
-        n_multiedges=m,
-        density=M / P,
-        multiedge_density=m / P,
-        excess_kurtosis=kurt,
-    )
+    return GraphSummary(n_nodes=g.n_nodes, n_links=M, n_multiedges=m, density=M / P,
+                        multiedge_density=m / P, excess_kurtosis=kurt)
 
 
 # -- block structure ---------------------------------------------------------
@@ -506,32 +530,19 @@ def block_tallies(g: MultiGraph, blocks: BlockAssignment) -> BlockTallies:
         b, d = np.minimum(b, d), np.maximum(b, d)
     m = _index_sums(b * B + d, w, B * B).reshape(B, B)
     links = np.bincount(b * B + d, minlength=B * B).astype(np.int64).reshape(B, B)
-    pairs = np.zeros((B, B), dtype=np.int64)
+    pairs = np.outer(sizes, sizes)
     if g.directed:
-        pairs[:] = np.outer(sizes, sizes)
         if not g.loops_allowed:
             pairs[np.diag_indices(B)] -= sizes
+        kappa_out, kappa_in = m.sum(axis=1), m.sum(axis=0)
     else:
-        pairs[:] = np.outer(sizes, sizes)
         pairs[np.diag_indices(B)] = sizes * (sizes - 1) // 2
-        # keep only the upper triangle populated plus symmetric mirror
+        # mirror the tallies of the upper triangle
         m = m + m.T - np.diag(np.diag(m))
         links = links + links.T - np.diag(np.diag(links))
-        pairs = np.triu(pairs) + np.triu(pairs, k=1).T
-    if g.directed:
-        kappa_out = m.sum(axis=1)
-        kappa_in = m.sum(axis=0)
-    else:
-        kappa_out = m.sum(axis=1) + np.diag(m)
-        kappa_in = kappa_out
-    return BlockTallies(
-        m=m,
-        links=links,
-        pairs=pairs,
-        n_per_block=sizes,
-        kappa_out=kappa_out,
-        kappa_in=kappa_in,
-    )
+        kappa_out = kappa_in = m.sum(axis=1) + np.diag(m)
+    return BlockTallies(m=m, links=links, pairs=pairs, n_per_block=sizes,
+                        kappa_out=kappa_out, kappa_in=kappa_in)
 
 
 # -- prefix series -----------------------------------------------------------
@@ -542,32 +553,22 @@ def prefix_series(log: TemporalContactLog, n_points: int) -> list:
 
     Prefixes end at ``n_points`` equally spaced thresholds between the
     first and last timestamp (inclusive), so the final entry matches the
-    aggregation of the full log. Counting is done by replaying the
-    sorted records once.
+    aggregation of the full log. m counts the records up to a threshold
+    and M the pairs first seen among them.
     """
     if n_points < 2:
         raise DataError("need at least two prefix points")
-    labels = log.labels()
-    index = {lab: k for k, lab in enumerate(labels)}
+    labels, rows, cols = _record_pairs(log)
     P = len(labels) * (len(labels) - 1) // 2
     t0, t1 = log.t_min, log.t_max
     thresholds = [t0 + (t1 - t0) * k / (n_points - 1) for k in range(n_points)]
-    seen: dict = {}
-    m = 0
-    out = []
-    pos = 0
-    records = log.records
-    for tau in thresholds:
-        while pos < len(records) and records[pos][0] <= tau:
-            _, a, b = records[pos]
-            i, j = index[a], index[b]
-            key = (i, j) if i < j else (j, i)
-            seen[key] = seen.get(key, 0) + 1
-            m += 1
-            pos += 1
-        M = len(seen)
-        out.append((m, M, m / P if P else float("nan"), M / P if P else float("nan")))
-    return out
+    # a prefix's links are the pairs whose first record falls inside it
+    key = np.minimum(rows, cols) * len(labels) + np.maximum(rows, cols)
+    first_seen = np.sort(np.unique(key, return_index=True)[1])
+    m_all = np.searchsorted(_timestamps(log), thresholds, side="right")
+    M_all = np.searchsorted(first_seen, m_all)
+    return [(m, M, m / P if P else float("nan"), M / P if P else float("nan"))
+            for m, M in zip(m_all.tolist(), M_all.tolist())]
 
 
 # -- serialization -----------------------------------------------------------
@@ -587,10 +588,15 @@ def graph_to_json(g: MultiGraph) -> dict:
 
 def graph_from_json(obj: dict) -> MultiGraph:
     try:
-        counts = {(int(i), int(j)): int(w) for i, j, w in obj["edges"]}
-        return MultiGraph(obj["node_ids"], counts, bool(obj["directed"]), bool(obj["loops"]))
+        node_ids, directed, loops = obj["node_ids"], bool(obj["directed"]), bool(obj["loops"])
+        edges = np.array(obj["edges"]) if obj["edges"] else np.zeros((0, 3), dtype=np.int64)
+        if edges.shape[1:] != (3,) or edges.dtype.kind not in "iu":
+            raise ValueError
     except KeyError as exc:
         raise DataError(f"graph JSON missing field {exc}") from None
+    except ValueError:  # also raised by np.array for rows of unequal length
+        raise DataError("graph JSON edges must be [i, j, w] rows of integers") from None
+    return MultiGraph(node_ids, tuple(edges.T), directed, loops)
 
 
 def save_graph(g: MultiGraph, path) -> None:

@@ -8,7 +8,7 @@ import zipnets.models
 
 from zipnets import load_graph, save_graph
 from zipnets.cli import main
-from conftest import planted_zi_graph
+from conftest import planted_zi_graph, zi_block_surrogate
 
 
 @pytest.fixture()
@@ -47,6 +47,16 @@ class TestExitCodes:
 
     def test_help_is_success(self):
         assert main(["--help"]) == 0
+
+    @pytest.mark.parametrize("edges", [[[0, 1]], [[0, 1, 1.5]], [[0, "x", 1]]])
+    def test_corrupt_graph_json_is_a_data_error(self, graph_file, tmp_path, capsys, edges):
+        obj = json.loads(graph_file.read_text())
+        obj["edges"] = edges
+        graph_file.write_text(json.dumps(obj))
+        code = main(["fit", "--input", str(graph_file), "--family", "zi_gnp",
+                     "--out", str(tmp_path / "m.json")])
+        assert code == 2
+        assert "rows of integers" in capsys.readouterr().err
 
 
 class TestAggregate:
@@ -99,6 +109,15 @@ class TestFit:
         assert main(["fit", "--input", str(graph_file), "--family", "zi_gnp",
                      "--out", str(tmp_path / "g.json")]) == 0
         assert "exact_moments" not in capsys.readouterr().out
+
+    def test_summary_reports_moment_residual(self, tmp_path, capsys, monkeypatch):
+        path = tmp_path / "graph.json"
+        save_graph(zi_block_surrogate("small"), path)
+        monkeypatch.setattr(zipnets.models, "_REFINE_MAX_STEPS", 1)
+        assert main(["fit", "--input", str(path), "--family", "dcsbm", "--blocks", "detect",
+                     "--seed", "11", "--out", str(tmp_path / "m.json")]) == 0
+        residual = json.loads((tmp_path / "m.json").read_text())["diagnostics"]["moment_residual"]
+        assert f"exact_moments=False moment_residual={residual:.3g} " in capsys.readouterr().out
 
     def test_blocks_required(self, graph_file, tmp_path):
         code = main(["fit", "--input", str(graph_file), "--family", "zi_sbm",

@@ -27,6 +27,7 @@ from zipnets import (
     fit_zi_gnp,
     fit_zi_node_level,
     fit_zi_sbm,
+    graph_to_json,
     load_model,
     log_likelihood,
     model_from_json,
@@ -37,6 +38,7 @@ from zipnets import (
     single_block,
     zip_pmf,
 )
+import zipnets.models
 from zipnets.models import FittedModel, ModelFamily, _decompose_rates, _pair_arrays
 from conftest import graph_from_matrix, planted_zi_graph, random_blocks, zi_block_surrogate
 
@@ -539,6 +541,25 @@ class TestMomentFixedPoint:
                     _assert_moments(model, g, 1e-10)
 
 
+class TestMomentResidual:
+    def test_failed_fixed_point_records_its_residual(self, monkeypatch):
+        g = zi_block_surrogate("small")
+        blocks = detect_communities(g, seed=11)
+        assert "moment_residual" not in fit_poisson("dcsbm", g, blocks).diagnostics
+        monkeypatch.setattr(zipnets.models, "_REFINE_MAX_STEPS", 1)
+        kout, _ = degrees(g)
+        for model in (fit_poisson("clcm", g), fit_poisson("dcsbm", g, blocks),
+                      fit_zi_dcsbm(g, blocks)):
+            diag = model.diagnostics
+            assert diag["exact_moments"] is False
+            # the largest relative miss of the kept iterate's expected degrees
+            e_out, _ = expected_degrees(model)
+            worst = np.max(np.abs(e_out - kout) / np.maximum(kout, 1))
+            assert diag["moment_residual"] == pytest.approx(worst, rel=1e-9)
+            assert diag["moment_residual"] > 1e-6
+            assert model_to_json(model)["diagnostics"]["moment_residual"] == diag["moment_residual"]
+
+
 class TestFitNodeLevel:
     def test_vertex_transitive_symmetry(self):
         # directed cycle with uniform counts: all node factors must agree
@@ -720,6 +741,35 @@ class TestSampling:
         stat = ((observed - expected) ** 2 / expected).sum()
         p = scipy.stats.chi2.sf(stat, df=top)
         assert p > 0.001
+
+
+def _reference_sample(model, seed):
+    """The dict-building sample the array path replaced, kept verbatim."""
+    rng = np.random.default_rng(seed)
+    q, lam = _pair_arrays(model)
+    ii, jj = model.space.pair_indices()
+    active = rng.random(q.size) < q
+    counts = np.zeros(q.size, dtype=np.int64)
+    if np.any(active):
+        counts[active] = rng.poisson(lam[active])
+    nz = counts > 0
+    node_ids = model.node_ids or tuple(f"v{k}" for k in range(model.space.n))
+    pairs = {(int(a), int(b)): int(w) for a, b, w in zip(ii[nz], jj[nz], counts[nz])}
+    return MultiGraph(node_ids, pairs, model.space.directed, model.space.loops)
+
+
+class TestSampleReference:
+    @pytest.mark.parametrize("directed,loops", [(False, False), (True, False), (True, True)])
+    def test_every_family_matches_dict_sample(self, directed, loops):
+        g = planted_zi_graph(40, 11, directed=directed, loops=loops, q=0.6, rate=4.0)
+        blocks = random_blocks(41, 11, 2)
+        for family in ModelFamily:
+            model = fit(family, g, blocks if family.needs_blocks else None)
+            for seed in (0, 1, 2 ** 40 + 3):
+                got, want = sample(model, seed), _reference_sample(model, seed)
+                assert got.node_ids == want.node_ids and got.space == want.space
+                assert got.counts == want.counts
+                assert graph_to_json(got) == graph_to_json(want)
 
 
 class TestInvariants:

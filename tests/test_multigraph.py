@@ -4,12 +4,14 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from zipnets import (
     BlockAssignment,
     DataError,
     MultiGraph,
     NumericalError,
+    PairSpace,
     ParseError,
     aggregate_contacts,
     block_tallies,
@@ -24,6 +26,7 @@ from zipnets import (
     summary_stats,
     write_block_assignment,
 )
+from zipnets.multigraph import _pair_positions
 from conftest import planted_zi_graph, random_blocks
 
 
@@ -89,6 +92,11 @@ class TestAggregate:
         log = parse_contact_log(_as_stream("0 A B\n20 A B\n"))
         with pytest.raises(DataError):
             aggregate_contacts(log, time_window=(100, 200))
+
+    def test_timestamps_beyond_64_bits(self):
+        log = parse_contact_log(_as_stream(f"1 a b\n2 b c\n{2 ** 70} a c\n"))
+        assert aggregate_contacts(log, (0, 3)).n_multiedges == 2
+        assert [point[0] for point in prefix_series(log, 3)] == [1, 2, 3]
 
     def test_window_additivity(self):
         # oracle: counts over disjoint windows must sum to the full counts
@@ -332,6 +340,26 @@ class TestSerialization:
         assert g2.node_ids == g.node_ids
         assert g2.space == g.space
 
+    @pytest.mark.parametrize("edges", [
+        [[0, 1]],                 # short row
+        [[0, 1, 2, 3]],           # long row
+        [[0, 1, 2], [1, 2]],      # rows of unequal length
+        [[0, "b", 2]],            # non-integer index
+        [[0, 1, None]],           # non-integer weight
+        [[0, 1, 1.5]],            # fractional weight, once truncated to 1
+        [[0, 1, 2.0]],            # float weight
+    ])
+    def test_graph_json_bad_edges(self, edges):
+        obj = graph_to_json(MultiGraph(list("abc"), {(0, 1): 2}, directed=False, loops=False))
+        obj["edges"] = edges
+        with pytest.raises(DataError, match=r"\[i, j, w\] rows of integers"):
+            graph_from_json(obj)
+
+    def test_graph_json_without_edges(self):
+        obj = graph_to_json(MultiGraph(list("abc"), {}, directed=True, loops=False))
+        assert obj["edges"] == []
+        assert graph_from_json(obj).n_links == 0
+
     def test_block_file_round_trip(self, tmp_path):
         g = planted_zi_graph(10, 12)
         blocks = random_blocks(3, 12, 4)
@@ -354,3 +382,117 @@ class TestSerialization:
             BlockAssignment(labels=(0, 2), n_blocks=3)  # block 1 empty
         with pytest.raises(DataError):
             BlockAssignment(labels=(0, -1), n_blocks=2)
+
+
+class _ReferenceMultiGraph:
+    """The dict-loop constructor the array-backed one replaced, with its
+    ``edge_arrays``, kept verbatim as the reference. The one change:
+    ``_items`` feeds a (rows, cols, counts) triple entry by entry, in
+    input order, where the old loop read ``dict(counts).items()``."""
+
+    def __init__(self, node_ids, counts, directed: bool, loops: bool):
+        ids = [str(x) for x in node_ids]
+        if len(set(ids)) != len(ids):
+            raise DataError("duplicate node labels")
+        self.node_ids = tuple(ids)
+        self.space = PairSpace(len(ids), directed, loops)
+        store: dict = {}
+        for (i, j), w in _items(counts):
+            w = int(w)
+            if w < 0:
+                raise DataError(f"negative count for pair ({i}, {j})")
+            if w == 0:
+                continue
+            key = self.space.canonical(int(i), int(j))
+            store[key] = store.get(key, 0) + w
+        self.counts = store
+
+    def edge_arrays(self) -> tuple:
+        keys = np.array(list(self.counts), dtype=np.int64).reshape(-1, 2)
+        w = np.fromiter(self.counts.values(), dtype=np.int64, count=len(self.counts))
+        order = np.argsort(_pair_positions(self.space, keys[:, 0], keys[:, 1]))
+        return keys[order, 0], keys[order, 1], w[order]
+
+
+def _items(counts):
+    if isinstance(counts, dict):
+        return dict(counts).items()
+    rows, cols, w = counts
+    return zip(zip(rows, cols), w)
+
+
+def _reference_json(g):
+    return {"n_nodes": len(g.node_ids), "directed": g.space.directed, "loops": g.space.loops,
+            "node_ids": list(g.node_ids), "edges": np.column_stack(g.edge_arrays()).tolist()}
+
+
+def _outcome(make, to_json):
+    try:
+        g = make()
+    except DataError as exc:
+        return ("DataError", str(exc))
+    return (dict(g.counts), json.dumps(to_json(g)))
+
+
+@st.composite
+def constructor_inputs(draw):
+    directed, loops = draw(st.sampled_from([(True, True), (True, False), (False, False)]))
+    n = draw(st.integers(1, 6))
+    clean = draw(st.booleans())
+    node = st.integers(0, n - 1) if clean else st.integers(-1, n)
+    weight = st.integers(0, 20) if clean else st.integers(-3, 20)
+    entries = draw(st.lists(st.tuples(node, node, weight), max_size=25))
+    if clean:  # zero counts on inadmissible pairs stay: they are skipped silently
+        entries = [(i, j, w) for i, j, w in entries if w == 0 or i != j or loops]
+    return directed, loops, n, entries
+
+
+class TestArrayConstructor:
+    @settings(max_examples=400, deadline=None)
+    @given(constructor_inputs(), st.booleans())
+    def test_matches_dict_loop_reference(self, case, as_arrays):
+        directed, loops, n, entries = case
+        ids = [f"v{k}" for k in range(n)]
+        mapping = {}
+        for i, j, w in entries:
+            mapping[(i, j)] = w
+        rows, cols, w = (np.array(col, dtype=np.int64) for col in zip(*entries)) if entries \
+            else (np.zeros(0, dtype=np.int64),) * 3
+        triple = (rows, cols, w) if as_arrays else (rows.tolist(), cols.tolist(), w.tolist())
+        for counts in (mapping, triple):
+            got = _outcome(lambda: MultiGraph(ids, counts, directed, loops), graph_to_json)
+            want = _outcome(lambda: _ReferenceMultiGraph(ids, counts, directed, loops),
+                            _reference_json)
+            assert got == want
+            if got[0] != "DataError":
+                g = MultiGraph(ids, counts, directed, loops)
+                ii, jj = g.space.pair_indices()
+                assert [g.count(i, j) for i, j in zip(ii, jj)] == g.count_vector().tolist()
+                assert [g.count(j, i) for i, j in zip(ii, jj)] == g.count_vector().tolist() \
+                    or directed
+
+    def test_first_offending_entry_in_input_order(self):
+        rows, cols, w = [0, 2, 0, 1], [1, 2, 5, 0], [3, 0, 2, -1]
+        # (2, 2) has a zero count and is skipped; (0, 5) is out of range
+        with pytest.raises(DataError, match=r"pair \(0, 5\) is not admissible"):
+            MultiGraph(list("abc"), (rows, cols, w), directed=False, loops=False)
+        with pytest.raises(DataError, match=r"negative count for pair \(1, 0\)"):
+            MultiGraph(list("abc"), (rows[:2] + rows[3:], cols[:2] + cols[3:], w[:2] + w[3:]),
+                       directed=False, loops=False)
+
+    def test_non_integer_input_rejected(self):
+        with pytest.raises(DataError, match="integer 1-d arrays"):
+            MultiGraph(list("ab"), ([0], [1], [1.5]), directed=False, loops=False)
+        with pytest.raises(DataError, match="of one length"):
+            MultiGraph(list("ab"), ([0, 1], [1], [1]), directed=True, loops=True)
+
+    def test_stored_arrays_are_read_only(self):
+        rows, cols, w = np.array([1, 0]), np.array([0, 1]), np.array([2, 3])
+        g = MultiGraph(list("ab"), (rows, cols, w), directed=False, loops=False)
+        for arr in g.edge_arrays():
+            with pytest.raises(ValueError):
+                arr[0] = 7
+        with pytest.raises(TypeError):
+            g.counts[(0, 1)] = 7
+        w[:] = 0  # the caller's arrays are not shared
+        assert dict(g.counts) == {(0, 1): 5} and g.n_multiedges == 5
