@@ -163,17 +163,19 @@ def zip_pmf(n: int, law: PairLaw) -> float:
     return prob
 
 
+def _log_p0(q: np.ndarray, lam: np.ndarray) -> np.ndarray:
+    """log P(0) = log((1-q) + q e^{-lam}) per pair, as a logaddexp for stability."""
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return np.logaddexp(np.log1p(-q), np.log(q) - lam)
+
+
 def _zip_loglik(counts: np.ndarray, q: np.ndarray, lam: np.ndarray) -> float:
     """Total ZIP log-likelihood over pairs; -inf if data is impossible."""
     counts = np.asarray(counts)
     q = np.broadcast_to(np.asarray(q, dtype=np.float64), counts.shape)
     lam = np.broadcast_to(np.asarray(lam, dtype=np.float64), counts.shape)
     zero = counts == 0
-    with np.errstate(divide="ignore", invalid="ignore"):
-        log_q = np.log(q)
-        # P(0) = (1-q) + q e^{-lam}, evaluated as logaddexp for stability
-        lz = np.logaddexp(np.log1p(-q), log_q - lam)
-    total = float(lz[zero].sum())
+    total = float(_log_p0(q[zero], lam[zero]).sum())
     pos = ~zero
     if np.any(pos):
         qp = q[pos]
@@ -664,6 +666,71 @@ def _constraint_vector(constraints, B: int) -> np.ndarray:
     return c
 
 
+class _NodeMixture:
+    """Node-level mixture log-likelihood as a function of the free factors x.
+
+    Pair p's mixture weight q_p is the product of three entries of the
+    factor vector [x, 1, 0], found at its ``slots``: the out-node factor,
+    the in-node factor and the block factor. The mean count r_p is fixed
+    by the moment equations, so lambda_p = r_p / q_p.
+
+    Along one free factor v, every pair it touches has q_p = v a_p, with
+    a_p the product of the pair's two other factors (no pair carries a
+    free factor twice: undirected pair spaces have no loops). Up to a
+    constant, the log-likelihood along v is then
+
+        S1 log v - S2 / v + sum over its zero pairs of log P0(v a_p, r_p / (v a_p)),
+
+    where S1 = sum (1 - c_p) and S2 = sum r_p / a_p over its positive pairs.
+    """
+
+    def __init__(self, counts: np.ndarray, rates: np.ndarray, slots: tuple, n_free: int):
+        self.counts, self.rates, self.slots = counts, rates, slots
+        so, si, sc = slots
+        # one entry per (pair, slot of that pair) with the pair's two other
+        # slots; pairs next to a zero-degree node keep q = 0 and get none
+        key = np.concatenate(slots)
+        other = np.stack((np.concatenate((si, so, so)), np.concatenate((sc, sc, si))))
+        pair = np.tile(np.arange(counts.size), 3)
+        keep = (key < n_free) & np.all(other != n_free + 1, axis=0)
+        # CSR by slot: each coordinate's positive pairs, then its zero pairs
+        code = 2 * key[keep] + (counts[pair[keep]] == 0)
+        order = np.argsort(code, kind="stable")
+        self._bounds = np.searchsorted(code[order], np.arange(2 * n_free + 1))
+        sel = np.flatnonzero(keep)[order]
+        self._other = other[:, sel]
+        self._r = rates[pair[sel]]
+        c = counts[pair[sel]]
+        pos = c > 0
+        self._s1 = np.bincount(key[sel][pos], weights=1.0 - c[pos], minlength=n_free)
+
+    def factors(self, x: np.ndarray) -> np.ndarray:
+        return np.concatenate((x, [1.0, 0.0]))
+
+    def loglik(self, x: np.ndarray) -> float:
+        qf = self.factors(x)
+        so, si, sc = self.slots
+        q = qf[so] * qf[si] * qf[sc]
+        with np.errstate(invalid="ignore", divide="ignore"):
+            lam = np.where(q > 0, self.rates / np.where(q > 0, q, 1.0), 0.0)
+        return _zip_loglik(self.counts, q, lam)
+
+    def coordinate(self, x: np.ndarray, k: int):
+        """The log-likelihood along x[k], up to a constant."""
+        qf = self.factors(x)
+        lo, mid, hi = self._bounds[2 * k:2 * k + 3]
+        a = qf[self._other[0, lo:hi]] * qf[self._other[1, lo:hi]]
+        s1 = float(self._s1[k])
+        s2 = float(np.sum(self._r[lo:mid] / a[:mid - lo]))
+        a0, r0 = a[mid - lo:], self._r[mid:hi]
+
+        def along(v):
+            q = v * a0
+            return s1 * math.log(v) - s2 / v + float(_log_p0(q, r0 / q).sum())
+
+        return along
+
+
 def fit_zi_node_level(g: MultiGraph, blocks: Optional[BlockAssignment] = None,
                       cfg: Optional[OptimizerConfig] = None,
                       block_q: str = "pair") -> FittedModel:
@@ -675,8 +742,12 @@ def fit_zi_node_level(g: MultiGraph, blocks: Optional[BlockAssignment] = None,
     pairs (``block_q="diag"``). Node rates stay tied to degrees through
     the first-moment equations, which makes the mean count of every
     pair independent of the mixture parameters; those are found by
-    box-constrained coordinate ascent. Zero-degree nodes get q = 0 and
-    are excluded from the optimization.
+    box-constrained coordinate ascent on [1e-6, 1], where each
+    coordinate's search evaluates only the pairs that factor touches
+    (``_NodeMixture.coordinate``), so one sweep costs O(P). In a directed
+    space the ``pair`` block factors q_bd and q_db are separate. Zero-degree
+    nodes get q = 0 and are excluded from the optimization.
+    ``diagnostics["loglik"]`` is the full log-likelihood at the result.
     """
     if g.n_multiedges == 0:
         raise DataError("cannot fit an empty graph (no multi-edges)")
@@ -714,48 +785,31 @@ def fit_zi_node_level(g: MultiGraph, blocks: Optional[BlockAssignment] = None,
         cells = []
 
     n_params = len(out_free) + len(in_free) + len(cells)
-    q_out = np.where(kout > 0, 1.0, 0.0)
-    q_in = np.where(kin > 0, 1.0, 0.0) if g.directed else q_out
-    qmat = np.ones((B, B))
-
-    def unpack(x):
-        qo = q_out.copy()
-        qo[out_free] = x[:len(out_free)]
-        if g.directed:
-            qi = q_in.copy()
-            qi[in_free] = x[len(out_free):len(out_free) + len(in_free)]
-        else:
-            qi = qo
-        qm = np.ones((B, B))
-        base = len(out_free) + len(in_free)
-        for k, (b, d) in enumerate(cells):
-            qm[b, d] = x[base + k]
-            qm[d, b] = x[base + k]
-        return qo, qi, qm
-
-    bi, bj = lab[ii], lab[jj]
-
-    def mixture(qo, qi, qm):
-        q = qo[ii] * qi[jj]
-        if blocks is not None:
-            if block_q == "pair":
-                q = q * qm[bi, bj]
-            else:
-                q = q * np.where(bi == bj, np.diag(qm)[bi], 1.0)
-        return q
-
-    def objective(x):
-        qo, qi, qm = unpack(x)
-        q = mixture(qo, qi, qm)
-        with np.errstate(invalid="ignore", divide="ignore"):
-            lam = np.where(q > 0, rates / np.where(q > 0, q, 1.0), 0.0)
-        return _zip_loglik(counts, q, lam)
+    # slot of each factor in the vector [x, 1, 0]: fixed block factors
+    # are 1, the node factors of zero-degree nodes 0
+    one, zero = n_params, n_params + 1
+    slot_out = np.full(g.n_nodes, zero)
+    slot_out[out_free] = np.arange(len(out_free))
+    if g.directed:
+        slot_in = np.full(g.n_nodes, zero)
+        slot_in[in_free] = len(out_free) + np.arange(len(in_free))
+    else:
+        slot_in = slot_out
+    slot_cell = np.full((B, B), one)
+    base = len(out_free) + len(in_free)
+    for k, (b, d) in enumerate(cells):
+        slot_cell[b, d] = base + k
+        if not g.directed:
+            slot_cell[d, b] = base + k
+    mix = _NodeMixture(counts, rates, (slot_out[ii], slot_in[jj], slot_cell[lab[ii], lab[jj]]),
+                      n_params)
 
     x0 = np.ones(n_params)
     lower = np.full(n_params, 1e-6)
     upper = np.ones(n_params)
-    res = maximize_box_constrained(objective, x0, lower, upper, cfg)
-    q_out, q_in, qmat = unpack(res.x)
+    res = maximize_box_constrained(mix.loglik, x0, lower, upper, cfg, coordinate=mix.coordinate)
+    qf = mix.factors(res.x)
+    q_out, q_in, qmat = qf[slot_out], qf[slot_in], qf[slot_cell]
     if blocks is not None and block_q == "pair":
         # zero out block cells with no activity so sampling stays consistent
         qmat = np.where(tall.m > 0, qmat, 0.0)

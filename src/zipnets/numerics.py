@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, Optional
 
 import numpy as np
 from scipy import special
@@ -29,6 +29,7 @@ __all__ = [
 
 _INV_E = math.exp(-1.0)
 _GOLDEN = 0.3819660112501051  # 2 - golden ratio
+_EPS = float(np.finfo(float).eps)
 
 
 @dataclass(frozen=True)
@@ -115,7 +116,7 @@ def maximize_scalar_bounded(
     converged = False
     for iterations in range(1, cfg.max_iterations + 1):
         mid = 0.5 * (a + b)
-        tol1 = tol + 4.0 * np.finfo(float).eps * abs(x)
+        tol1 = tol + 4.0 * _EPS * abs(x)
         tol2 = 2.0 * tol1
         if abs(x - mid) <= tol2 - 0.5 * (b - a):
             converged = True
@@ -176,14 +177,21 @@ def maximize_box_constrained(
     lower,
     upper,
     cfg: OptimizerConfig = OptimizerConfig(max_iterations=2000),
+    coordinate: Optional[Callable[[np.ndarray, int], Callable[[float], float]]] = None,
 ) -> OptResult:
     """Maximize over a box by cyclic coordinate ascent.
 
     Each coordinate is optimized with the bounded scalar search while
-    the others are held fixed; the objective never decreases. Terminates
-    when a complete sweep improves the objective by less than
-    ``rel_ll_tolerance`` (relative), which sets ``converged``, or when
-    ``max_iterations`` coordinate steps have been spent.
+    the others are held fixed, and a step is taken only if it gains.
+    ``coordinate(x, k)`` returns the function of coordinate k's value
+    that the search maximizes: the objective with the other coordinates
+    fixed at ``x``, up to an additive constant. By default it evaluates
+    the objective itself; a caller whose objective is a sum over terms
+    can pass one that evaluates only the terms coordinate k touches.
+    ``objective`` is called at ``x0``, after each complete sweep and at
+    the end. Terminates when a complete sweep improves the objective by
+    less than ``rel_ll_tolerance`` (relative), which sets ``converged``,
+    or when ``max_iterations`` coordinate steps have been spent.
     """
     x = np.array(x0, dtype=np.float64).copy()
     lo = np.asarray(lower, dtype=np.float64)
@@ -194,6 +202,15 @@ def maximize_box_constrained(
         raise ValueError("lower bound exceeds upper bound")
     if np.any(x < lo) or np.any(x > hi):
         raise ValueError("x0 is infeasible")
+
+    def full_objective(x, k):
+        def along(val):
+            trial = x.copy()
+            trial[k] = val
+            return objective(trial)
+        return along
+
+    coordinate = coordinate or full_objective
 
     def f(vec):
         val = float(objective(vec))
@@ -218,20 +235,17 @@ def maximize_box_constrained(
             steps += 1
             if lo[k] == hi[k]:
                 continue
-
-            def coord(val, k=k):
-                trial = x.copy()
-                trial[k] = val
-                return f(trial)
-
-            res = maximize_scalar_bounded(coord, lo[k], hi[k], scalar_cfg)
-            if res.value > fx:
+            along = coordinate(x, k)
+            res = maximize_scalar_bounded(along, lo[k], hi[k], scalar_cfg)
+            if res.value > along(x[k]):
                 x[k] = res.x
-                fx = res.value
         else:  # only a complete sweep may declare convergence
+            fx = f(x)
             if fx - f_sweep_start <= cfg.rel_ll_tolerance * max(1.0, abs(fx)):
                 converged = True
                 break
+    if not converged:
+        fx = f(x)
     return OptResult(x=x, value=fx, iterations=steps, converged=converged)
 
 

@@ -1,5 +1,8 @@
 import dataclasses
+import functools
 import math
+from typing import Callable, Optional
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -39,7 +42,18 @@ from zipnets import (
     zip_pmf,
 )
 import zipnets.models
-from zipnets.models import FittedModel, ModelFamily, _decompose_rates, _pair_arrays
+from zipnets.exceptions import NumericalError
+from zipnets.models import (
+    FittedModel,
+    ModelFamily,
+    _base_diag,
+    _check_block_degrees,
+    _decompose_rates,
+    _mean_rate_array,
+    _pair_arrays,
+    _zip_loglik,
+)
+from zipnets.numerics import OptResult, maximize_box_constrained, maximize_scalar_bounded
 from conftest import graph_from_matrix, planted_zi_graph, random_blocks, zi_block_surrogate
 
 
@@ -641,6 +655,17 @@ class TestFitNodeLevel:
         assert pair_law(diag, *cross).q == pytest.approx(
             diag.q_nodes_out[cross[0]] * diag.q_nodes_in[cross[1]], rel=1e-12)
 
+    def test_directed_pair_block_factors_are_separate(self):
+        # planted q_01 = 0.15 and q_10 = 0.8; a symmetric block-factor matrix
+        # fits both at 0.748 with loglik -988.1409
+        labels = [0] * 12 + [1] * 12
+        g = planted_zi_graph(5, 24, directed=True, q_matrix=[[0.9, 0.15], [0.8, 0.9]],
+                             blocks=labels, rate=4.0)
+        blocks = BlockAssignment(labels=tuple(labels), n_blocks=2)
+        model = fit_zi_node_level(g, blocks=blocks, block_q="pair")
+        assert model.q_blocks[0, 1] < model.q_blocks[1, 0]
+        assert model.diagnostics["loglik"] >= -988.1408740541159
+
     def test_diag_variant_round_trip(self, tmp_path):
         g = planted_zi_graph(44, 14, q=0.5, rate=5.0)
         blocks = random_blocks(45, 14, 2)
@@ -853,3 +878,279 @@ class TestModelSerialization:
         assert set(obj) >= {"family", "pair_space", "p", "q", "constraint", "diagnostics"}
         clone = model_from_json(obj)
         assert clone.p == obj["p"]
+
+
+# -- node-level fits against the full-objective coordinate ascent ---------------
+#
+# The coordinate ascent and the node-level fitter as they were when every
+# coordinate search evaluated the full log-likelihood over all pairs, kept
+# verbatim as the reference. The one change: the fitter calls the copied
+# ascent. Its ``unpack`` mirrors q_bd into q_db in every pair space, so on
+# directed ``pair`` fits it has one dead block factor per off-diagonal pair.
+
+
+def _reference_box_ascent(
+    objective: Callable[[np.ndarray], float],
+    x0,
+    lower,
+    upper,
+    cfg: OptimizerConfig = OptimizerConfig(max_iterations=2000),
+) -> OptResult:
+    """Maximize over a box by cyclic coordinate ascent.
+
+    Each coordinate is optimized with the bounded scalar search while
+    the others are held fixed; the objective never decreases. Terminates
+    when a complete sweep improves the objective by less than
+    ``rel_ll_tolerance`` (relative), which sets ``converged``, or when
+    ``max_iterations`` coordinate steps have been spent.
+    """
+    x = np.array(x0, dtype=np.float64).copy()
+    lo = np.asarray(lower, dtype=np.float64)
+    hi = np.asarray(upper, dtype=np.float64)
+    if x.shape != lo.shape or x.shape != hi.shape:
+        raise ValueError("x0, lower and upper must share a shape")
+    if np.any(lo > hi):
+        raise ValueError("lower bound exceeds upper bound")
+    if np.any(x < lo) or np.any(x > hi):
+        raise ValueError("x0 is infeasible")
+
+    def f(vec):
+        val = float(objective(vec))
+        if not math.isfinite(val):
+            raise NumericalError(f"objective is not finite at x={vec!r}")
+        return val
+
+    fx = f(x)
+    n = x.size
+    scalar_cfg = OptimizerConfig(
+        abs_tolerance=max(cfg.abs_tolerance, 1e-12),
+        rel_ll_tolerance=cfg.rel_ll_tolerance,
+        max_iterations=100,
+    )
+    steps = 0
+    converged = False
+    while steps < cfg.max_iterations:
+        f_sweep_start = fx
+        for k in range(n):
+            if steps >= cfg.max_iterations:
+                break
+            steps += 1
+            if lo[k] == hi[k]:
+                continue
+
+            def coord(val, k=k):
+                trial = x.copy()
+                trial[k] = val
+                return f(trial)
+
+            res = maximize_scalar_bounded(coord, lo[k], hi[k], scalar_cfg)
+            if res.value > fx:
+                x[k] = res.x
+                fx = res.value
+        else:  # only a complete sweep may declare convergence
+            if fx - f_sweep_start <= cfg.rel_ll_tolerance * max(1.0, abs(fx)):
+                converged = True
+                break
+    return OptResult(x=x, value=fx, iterations=steps, converged=converged)
+
+
+def _reference_fit_zi_node_level(g: MultiGraph, blocks: Optional[BlockAssignment] = None,
+                      cfg: Optional[OptimizerConfig] = None,
+                      block_q: str = "pair") -> FittedModel:
+    """Fit a model with node-level zero-inflation factors.
+
+    The mixture weight of pair (i, j) is q_out_i * q_in_j, times a
+    block factor when ``blocks`` is given: the full matrix q_bd
+    (``block_q="pair"``) or a per-block factor applied to within-block
+    pairs (``block_q="diag"``). Node rates stay tied to degrees through
+    the first-moment equations, which makes the mean count of every
+    pair independent of the mixture parameters; those are found by
+    box-constrained coordinate ascent. Zero-degree nodes get q = 0 and
+    are excluded from the optimization.
+    """
+    if g.n_multiedges == 0:
+        raise DataError("cannot fit an empty graph (no multi-edges)")
+    if block_q not in ("pair", "diag"):
+        raise DataError(f"unknown block_q structure {block_q!r}")
+    cfg = cfg or OptimizerConfig(max_iterations=2000)
+    family = ModelFamily.ZI_DCSBM_NODE if blocks is not None else ModelFamily.ZI_CLCM_NODE
+    blk = blocks if blocks is not None else single_block(g.n_nodes)
+    if blocks is not None and len(blk.labels) != g.n_nodes:
+        raise DataError("block assignment length does not match the graph")
+    tall = block_tallies(g, blk)
+    if family is ModelFamily.ZI_DCSBM_NODE:
+        _check_block_degrees(tall)
+    B = blk.n_blocks
+    lab = blk.as_array()
+    parts = _decompose_rates(g, blk)
+    rates = _mean_rate_array(g.space, parts, lab)
+    counts = g.count_vector()
+    ii, jj = g.space.pair_indices()
+    kout, kin = degrees(g)
+
+    # free parameters: node factors for nodes with positive degree,
+    # plus block factors for non-empty block pairs (or blocks)
+    out_free = np.where(kout > 0)[0]
+    in_free = np.where(kin > 0)[0] if g.directed else np.array([], dtype=np.int64)
+    if blocks is not None:
+        if block_q == "pair":
+            if g.directed:
+                cells = [(b, d) for b in range(B) for d in range(B) if tall.m[b, d] > 0]
+            else:
+                cells = [(b, d) for b in range(B) for d in range(b, B) if tall.m[b, d] > 0]
+        else:
+            cells = [(b, b) for b in range(B) if tall.m[b, b] > 0]
+    else:
+        cells = []
+
+    n_params = len(out_free) + len(in_free) + len(cells)
+    q_out = np.where(kout > 0, 1.0, 0.0)
+    q_in = np.where(kin > 0, 1.0, 0.0) if g.directed else q_out
+    qmat = np.ones((B, B))
+
+    def unpack(x):
+        qo = q_out.copy()
+        qo[out_free] = x[:len(out_free)]
+        if g.directed:
+            qi = q_in.copy()
+            qi[in_free] = x[len(out_free):len(out_free) + len(in_free)]
+        else:
+            qi = qo
+        qm = np.ones((B, B))
+        base = len(out_free) + len(in_free)
+        for k, (b, d) in enumerate(cells):
+            qm[b, d] = x[base + k]
+            qm[d, b] = x[base + k]
+        return qo, qi, qm
+
+    bi, bj = lab[ii], lab[jj]
+
+    def mixture(qo, qi, qm):
+        q = qo[ii] * qi[jj]
+        if blocks is not None:
+            if block_q == "pair":
+                q = q * qm[bi, bj]
+            else:
+                q = q * np.where(bi == bj, np.diag(qm)[bi], 1.0)
+        return q
+
+    def objective(x):
+        qo, qi, qm = unpack(x)
+        q = mixture(qo, qi, qm)
+        with np.errstate(invalid="ignore", divide="ignore"):
+            lam = np.where(q > 0, rates / np.where(q > 0, q, 1.0), 0.0)
+        return _zip_loglik(counts, q, lam)
+
+    x0 = np.ones(n_params)
+    lower = np.full(n_params, 1e-6)
+    upper = np.ones(n_params)
+    res = _reference_box_ascent(objective, x0, lower, upper, cfg)
+    q_out, q_in, qmat = unpack(res.x)
+    if blocks is not None and block_q == "pair":
+        # zero out block cells with no activity so sampling stays consistent
+        qmat = np.where(tall.m > 0, qmat, 0.0)
+
+    scale = math.sqrt(parts.Lambda[0, 0]) if blocks is None else 1.0
+    with np.errstate(invalid="ignore", divide="ignore"):
+        theta_out = np.where(q_out > 0, parts.phi_out * scale / np.where(q_out > 0, q_out, 1.0), 0.0)
+        if g.directed:
+            theta_in = np.where(q_in > 0, parts.phi_in * scale / np.where(q_in > 0, q_in, 1.0), 0.0)
+        else:
+            theta_in = theta_out
+    if blocks is None:
+        model = FittedModel(family, g.space, node_ids=g.node_ids,
+                            theta_out=theta_out, theta_in=theta_in,
+                            q_nodes_out=q_out, q_nodes_in=q_in,
+                            constraint={"type": "theta_sum_effective", "values": [scale]})
+    else:
+        blockq = qmat.copy()
+        with np.errstate(invalid="ignore", divide="ignore"):
+            lam = np.where(blockq > 0, parts.Lambda / blockq, 0.0)
+        if block_q == "diag":
+            # off-diagonal mixture factor is 1; rates keep raw tallies there
+            off = ~np.eye(B, dtype=bool)
+            lam[off] = parts.Lambda[off]
+        model = FittedModel(family, g.space, node_ids=g.node_ids, blocks=blk,
+                            theta_out=theta_out, theta_in=theta_in,
+                            lambda_blocks=lam, q_blocks=blockq,
+                            q_nodes_out=q_out, q_nodes_in=q_in,
+                            constraint={"type": "block_theta_sum_effective",
+                                        "values": [1.0] * B, "block_q": block_q})
+    model.diagnostics.update(_base_diag(g, parts))
+    model.diagnostics["iterations"] = res.iterations
+    model.diagnostics["converged"] = res.converged
+    model.diagnostics["n_free_parameters"] = n_params
+    model.diagnostics["loglik"] = res.value
+    return model
+
+
+def _reference_case(directed, loops, block_q, empty_cell=False):
+    """A small planted graph with one isolated node, and its blocks."""
+    n, labels = 12, [0] * 6 + [1] * 6
+    q_matrix = [[0.7, 0.0], [0.0, 0.8]] if empty_cell else [[0.7, 0.3], [0.5, 0.8]]
+    g = planted_zi_graph(60 + 3 * directed + loops, n, directed=directed, loops=loops,
+                         blocks=labels, q_matrix=q_matrix, rate=4.0)
+    rows, cols, w = g.edge_arrays()
+    g = MultiGraph(g.node_ids + ("iso",), (rows, cols, w), directed, loops)
+    blocks = None if block_q is None else BlockAssignment(labels=tuple(labels + [0]), n_blocks=2)
+    return g, blocks
+
+
+_SPACES = [(False, False), (True, False), (True, True)]
+
+
+class TestNodeLevelReference:
+    @pytest.mark.parametrize("directed,loops", _SPACES)
+    @pytest.mark.parametrize("block_q,empty_cell", [(None, False), ("pair", False),
+                                                    ("pair", True), ("diag", False)])
+    def test_matches_full_objective_ascent(self, directed, loops, block_q, empty_cell):
+        g, blocks = _reference_case(directed, loops, block_q, empty_cell)
+        got = fit_zi_node_level(g, blocks=blocks, block_q=block_q or "pair")
+        want = _reference_fit_zi_node_level(g, blocks=blocks, block_q=block_q or "pair")
+        assert got.q_nodes_out[-1] == 0.0
+        assert got.diagnostics["loglik"] == pytest.approx(log_likelihood(got, g), rel=1e-12)
+        if directed and block_q == "pair" and not empty_cell:
+            # the reference ties q_bd to q_db; separate factors fit at least as well
+            assert got.diagnostics["loglik"] >= want.diagnostics["loglik"]
+            return
+        for key in ("iterations", "converged", "n_free_parameters"):
+            assert got.diagnostics[key] == want.diagnostics[key]
+        assert got.diagnostics["loglik"] == pytest.approx(want.diagnostics["loglik"], rel=1e-10)
+        assert np.allclose(got.q_nodes_out, want.q_nodes_out, rtol=0, atol=1e-6)
+        assert np.allclose(got.q_nodes_in, want.q_nodes_in, rtol=0, atol=1e-6)
+        if blocks is not None:
+            assert np.allclose(got.q_blocks, want.q_blocks, rtol=0, atol=1e-6)
+
+
+@functools.lru_cache(maxsize=None)
+def _node_level_problem(directed, loops, block_q):
+    """(objective, coordinate, n_free) the node-level fitter hands its optimizer."""
+    g, blocks = _reference_case(directed, loops, block_q)
+    seen = {}
+
+    def record(objective, x0, lower, upper, cfg, coordinate):
+        seen.update(objective=objective, coordinate=coordinate, n=len(x0))
+        return maximize_box_constrained(objective, x0, lower, upper, OptimizerConfig(max_iterations=1),
+                                        coordinate=coordinate)
+
+    with mock.patch.object(zipnets.models, "maximize_box_constrained", record):
+        fit_zi_node_level(g, blocks=blocks, block_q=block_q or "pair")
+    return seen["objective"], seen["coordinate"], seen["n"]
+
+
+class TestCoordinateFunction:
+    @settings(max_examples=200, deadline=None)
+    @given(st.data())
+    def test_differences_match_the_full_likelihood(self, data):
+        directed, loops = data.draw(st.sampled_from(_SPACES))
+        block_q = data.draw(st.sampled_from([None, "pair", "diag"]))
+        objective, coordinate, n = _node_level_problem(directed, loops, block_q)
+        unit = st.floats(1e-6, 1.0)
+        x = np.array(data.draw(st.lists(unit, min_size=n, max_size=n)))
+        k = data.draw(st.integers(0, n - 1))
+        v, w = data.draw(unit), data.draw(unit)
+        along = coordinate(x, k)
+        xv, xw = x.copy(), x.copy()
+        xv[k], xw[k] = v, w
+        fv, fw = objective(xv), objective(xw)
+        assert abs((along(v) - along(w)) - (fv - fw)) <= 1e-9 * abs(fv)
