@@ -355,6 +355,45 @@ def _mean_rate_array(space: PairSpace, parts: _RateParts, lab: np.ndarray) -> np
 # -- mixture profile optimization ---------------------------------------------
 
 
+def _mixture_profile(counts: np.ndarray, rates: np.ndarray):
+    """One cell's profile log-likelihood as a function of q in (0, 1].
+
+    The value at q is _zip_loglik(counts, q, rates / q). With the mean
+    counts r held fixed, a positive pair contributes
+    log q + c log(r / q) - r / q - log c!, so the positive pairs sum to
+
+        S1 log q - S2 / q + K,  S1 = M - m,  S2 = sum r,  K = sum (c log r - log c!),
+
+    with K taken once (-inf if a positive pair has r <= 0). A zero pair
+    contributes log((1 - q) + q e^{-r/q}), whose two terms are
+    non-negative; q == 1 is taken exactly as -r, so the endpoint stays
+    finite where e^{-r} underflows. One evaluation costs O(zero pairs).
+    """
+    zero = counts == 0
+    neg_r0 = -rates[zero]
+    cp, rp = counts[~zero], rates[~zero]
+    s1 = float(cp.size - cp.sum())
+    s2 = float(rp.sum())
+    if np.any(rp <= 0.0):
+        k = -math.inf
+    else:
+        k = float(np.sum(cp * np.log(rp) - special.gammaln(cp + 1.0)))
+    at_one = float(neg_r0.sum())
+
+    def profile(q) -> float:
+        if q == 1.0:
+            zeros = at_one
+        else:  # in place: one temporary array instead of five
+            t = neg_r0 / q
+            np.exp(t, out=t)
+            t *= q
+            t += 1.0 - q
+            zeros = float(np.log(t, out=t).sum())
+        return s1 * math.log(q) - s2 / q + k + zeros
+
+    return profile
+
+
 def _optimize_mixture(counts: np.ndarray, rates: np.ndarray, cfg: OptimizerConfig) -> tuple:
     """Maximize the profile likelihood over the mixture weight q.
 
@@ -365,11 +404,9 @@ def _optimize_mixture(counts: np.ndarray, rates: np.ndarray, cfg: OptimizerConfi
     n_pairs = counts.size
     n_links = int(np.count_nonzero(counts))
     q_lo = n_links / n_pairs + _EPS_Q
+    profile = _mixture_profile(counts, rates)
     if q_lo >= 1.0:
-        return 1.0, _zip_loglik(counts, np.float64(1.0), rates), 0, True
-
-    def profile(q):
-        return _zip_loglik(counts, np.float64(q), rates / q)
+        return 1.0, profile(1.0), 0, True
 
     # coarse scan guards the golden-section search against flat regions
     grid = np.linspace(q_lo, 1.0, 33)

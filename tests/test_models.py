@@ -46,6 +46,7 @@ from zipnets.exceptions import NumericalError
 from zipnets.models import (
     FittedModel,
     ModelFamily,
+    _EPS_Q,
     _base_diag,
     _check_block_degrees,
     _decompose_rates,
@@ -1154,3 +1155,124 @@ class TestCoordinateFunction:
         xv[k], xw[k] = v, w
         fv, fw = objective(xv), objective(xw)
         assert abs((along(v) - along(w)) - (fv - fw)) <= 1e-9 * abs(fv)
+
+
+# The cell optimizer as it was when every profile point was a full
+# _zip_loglik call over the cell, kept verbatim as the reference.
+
+
+def _reference_optimize_mixture(counts: np.ndarray, rates: np.ndarray, cfg: OptimizerConfig) -> tuple:
+    """Maximize the profile likelihood over the mixture weight q.
+
+    ``rates`` holds the moment-locked mean counts r_ij, so the Poisson
+    rate is r_ij / q and the expected multi-edges match the data for
+    every q. Returns (q_hat, value, iterations, converged).
+    """
+    n_pairs = counts.size
+    n_links = int(np.count_nonzero(counts))
+    q_lo = n_links / n_pairs + _EPS_Q
+    if q_lo >= 1.0:
+        return 1.0, _zip_loglik(counts, np.float64(1.0), rates), 0, True
+
+    def profile(q):
+        return _zip_loglik(counts, np.float64(q), rates / q)
+
+    # coarse scan guards the golden-section search against flat regions
+    grid = np.linspace(q_lo, 1.0, 33)
+    vals = np.array([profile(q) for q in grid])
+    k = int(np.argmax(vals))
+    lo = grid[max(k - 1, 0)]
+    hi = grid[min(k + 1, len(grid) - 1)]
+    if lo >= hi:
+        lo, hi = q_lo, 1.0
+    res = maximize_scalar_bounded(profile, float(lo), float(hi), cfg)
+    if vals[k] > res.value:
+        return float(grid[k]), float(vals[k]), res.iterations, res.converged
+    return float(res.x), float(res.value), res.iterations, res.converged
+
+
+class TestMixtureProfile:
+    @settings(max_examples=200, deadline=None)
+    @given(st.data())
+    def test_matches_full_likelihood(self, data):
+        directed, loops = data.draw(st.sampled_from(_SPACES))
+        n = data.draw(st.integers(3, 12))
+        g = planted_zi_graph(data.draw(st.integers(0, 10_000)), n, directed=directed, loops=loops,
+                             q=data.draw(st.floats(0.1, 1.0)), rate=data.draw(st.floats(0.2, 40.0)))
+        counts = g.count_vector()
+        if not counts.any():
+            return
+        blk = single_block(n)
+        rates = _mean_rate_array(g.space, _decompose_rates(g, blk), blk.as_array())
+        # a cell: every pair, a random subset, or only the positive pairs (q_lo >= 1)
+        cell = data.draw(st.sampled_from(["all", "subset", "positive"]))
+        if cell == "positive":
+            sel = counts > 0
+        elif cell == "all":
+            sel = np.ones(counts.size, dtype=bool)
+        else:
+            sel = np.array(data.draw(st.lists(st.booleans(), min_size=counts.size,
+                                              max_size=counts.size)), dtype=bool)
+        counts, rates = counts[sel], rates[sel]
+        if cell != "positive" and data.draw(st.booleans()):
+            # a zero pair whose e^{-r} underflows
+            counts = np.append(counts, 0)
+            rates = np.append(rates, data.draw(st.floats(746.0, 1600.0)))
+        if counts.size == 0:
+            return
+        q_lo = np.count_nonzero(counts) / counts.size + _EPS_Q
+        qs = [1.0]
+        if q_lo < 1.0:
+            qs += [q_lo, data.draw(st.floats(q_lo, 1.0, exclude_max=True))]
+        profile = zipnets.models._mixture_profile(counts, rates)
+        for q in qs:
+            want = _zip_loglik(counts, np.float64(q), rates / q)
+            got = profile(q)
+            assert math.isfinite(got)
+            assert got == pytest.approx(want, rel=1e-12, abs=1e-12)
+
+    def test_underflowing_zero_pair_at_q_one(self):
+        counts = np.array([0, 3, 0, 1])
+        rates = np.array([1200.0, 2.5, 0.4, 0.7])
+        profile = zipnets.models._mixture_profile(counts, rates)
+        want = _zip_loglik(counts, np.float64(1.0), rates)
+        assert math.isfinite(want)
+        assert profile(1.0) == pytest.approx(want, rel=1e-15)
+
+    @pytest.mark.parametrize("bad_rate", [0.0, -0.5])
+    def test_positive_pair_without_rate_is_impossible(self, bad_rate):
+        counts = np.array([0, 2, 1])
+        rates = np.array([0.3, bad_rate, 1.1])
+        profile = zipnets.models._mixture_profile(counts, rates)
+        for q in (0.7, 1.0):
+            assert _zip_loglik(counts, np.float64(q), rates / q) == -math.inf
+            assert profile(q) == -math.inf
+
+    def test_cell_without_zero_pairs_sits_at_q_one(self):
+        counts = np.array([2, 1, 5])
+        rates = np.array([1.5, 0.8, 6.0])
+        q, value, iterations, converged = zipnets.models._optimize_mixture(
+            counts, rates, OptimizerConfig())
+        assert (q, iterations, converged) == (1.0, 0, True)
+        assert value == pytest.approx(_zip_loglik(counts, np.float64(1.0), rates), rel=1e-15)
+
+
+class TestMixtureReference:
+    @pytest.mark.parametrize("directed,loops", _SPACES)
+    @pytest.mark.parametrize("family,empty_cell", [("zi_clcm", False), ("zi_dcsbm", False),
+                                                   ("zi_dcsbm", True)])
+    def test_matches_full_likelihood_search(self, directed, loops, family, empty_cell):
+        g, blocks = _reference_case(directed, loops, "pair", empty_cell)
+        blocks = blocks if family == "zi_dcsbm" else None
+        got = fit(family, g, blocks)
+        with mock.patch.object(zipnets.models, "_optimize_mixture", _reference_optimize_mixture):
+            want = fit(family, g, blocks)
+        ll = got.diagnostics["loglik"]
+        assert ll == pytest.approx(log_likelihood(got, g), rel=1e-12)
+        assert ll >= want.diagnostics["loglik"] - 1e-9 * abs(ll)
+        for key in ("converged", "n_mixture_problems"):
+            assert got.diagnostics.get(key) == want.diagnostics.get(key)
+        if family == "zi_clcm":
+            assert got.q_global == pytest.approx(want.q_global, rel=0, abs=1e-6)
+        else:
+            assert np.allclose(got.q_blocks, want.q_blocks, rtol=0, atol=1e-6)
