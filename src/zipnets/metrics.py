@@ -16,7 +16,7 @@ import numpy as np
 from scipy import special
 
 from .exceptions import DataError, NumericalError
-from .multigraph import MultiGraph, excess_kurtosis
+from .multigraph import MultiGraph, _graph_kurtosis
 from .numerics import TTestResult, second_smallest_eigenvalue, welch_t_test
 from . import models as _models
 
@@ -127,15 +127,27 @@ def edge_count_histogram(g: MultiGraph, policy: str = "geometric",
 
 
 def _model_cdf_at(model, x: np.ndarray) -> np.ndarray:
-    """Mean over pairs of P(A_ij <= x_k) for each boundary x_k."""
+    """Mean over pairs of P(A_ij <= x_k) for each boundary x_k: a pmf
+    recursion while the boundaries run 0, 1, 2, ..., then ``pdtr`` on the
+    pairs whose CDF is still below 1 (it stays 1 for larger x)."""
     q, lam = _models._pair_arrays(model)
-    out = np.empty(len(x))
+    out = np.zeros(len(x))
+    cdf = np.zeros(lam.size)
+    pmf = np.exp(-lam)
+    step = 0  # next count the recursion adds; -1 once a boundary skips one
     for k, xv in enumerate(x):
         if xv < 0:
-            out[k] = 0.0
             continue
-        pois_cdf = special.pdtr(float(xv), lam)
-        out[k] = float(np.mean((1.0 - q) + q * pois_cdf))
+        if xv == step:
+            if step:
+                pmf *= lam / step
+            cdf += pmf
+            step += 1
+        else:
+            live = cdf < 1.0
+            cdf[live] = special.pdtr(float(xv), lam[live])
+            step = -1
+        out[k] = float(np.mean((1.0 - q) + q * cdf))
     return out
 
 
@@ -233,12 +245,27 @@ def _hop_distances(adj: np.ndarray) -> np.ndarray:
     return dist
 
 
+def _structure(g: MultiGraph, hops: bool = True) -> tuple:
+    """Read-only (symmetric weights, their 0/1 adjacency, its hop distances),
+    each built on first use and kept with the (immutable) graph; without
+    ``hops`` the distances are not built and are None."""
+    s = g._derived
+    if "adjacency" not in s:
+        s["weights"] = _symmetric_weights(g)
+        s["adjacency"] = (s["weights"] > 0).astype(np.float64)
+    if hops and "hops" not in s:
+        s["hops"] = _hop_distances(s["adjacency"])
+    for arr in s.values():
+        arr.flags.writeable = False
+    return s["weights"], s["adjacency"], s.get("hops")
+
+
 def spectral_gap_info(g: MultiGraph) -> tuple:
     """(gap, coverage): second-smallest random-walk Laplacian eigenvalue
     of the weighted giant component, and the fraction of nodes covered.
     Of equal largest components the one with the lowest node is taken."""
-    w = _symmetric_weights(g)
-    reach = _hop_distances(w > 0) >= 0
+    w, _, dist = _structure(g)
+    reach = dist >= 0
     giant = np.nonzero(reach[np.argmax(reach.sum(axis=1))])[0]
     if len(giant) < 2:
         raise NumericalError("giant component too small for a spectral gap")
@@ -259,7 +286,7 @@ def avg_clustering(g: MultiGraph) -> float:
     projection; nodes with degree < 2 contribute 0."""
     if g.n_nodes < 3:
         raise DataError("clustering needs at least 3 nodes")
-    a = (_symmetric_weights(g) > 0).astype(np.float64)
+    a = _structure(g, hops=False)[1]
     # 0/1 products summing at most N terms: exact in float64
     deg = a.sum(axis=1).astype(np.int64).tolist()
     links = (((a @ a) * a).sum(axis=1) / 2).astype(np.int64).tolist()
@@ -277,7 +304,7 @@ def avg_path_length_info(g: MultiGraph) -> tuple:
         raise DataError("path length needs at least 2 nodes")
     if g.n_links == 0:
         raise DataError("path length undefined without edges")
-    dist = _hop_distances(_symmetric_weights(g) > 0)
+    dist = _structure(g)[2]
     n = g.n_nodes
     reach = dist[dist > 0]
     total = int(reach.sum())
@@ -292,15 +319,11 @@ def avg_path_length(g: MultiGraph) -> float:
     return avg_path_length_info(g)[0]
 
 
-def _kurtosis_metric(g: MultiGraph) -> float:
-    return excess_kurtosis(g.count_vector())
-
-
 METRIC_FUNCTIONS.update({
     "spectral_gap": spectral_gap,
     "avg_clustering": avg_clustering,
     "avg_path_length": avg_path_length,
-    "excess_kurtosis": _kurtosis_metric,
+    "excess_kurtosis": _graph_kurtosis,
 })
 
 

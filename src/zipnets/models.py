@@ -945,24 +945,11 @@ def expected_degrees(model: FittedModel) -> tuple:
 
 def expected_count_distribution(model: FittedModel, max_count: int):
     """Expected fraction of pairs per count 0..max_count plus a tail bucket."""
-    from .metrics import CountHistogram
+    from .metrics import model_count_histogram
 
     if max_count < 1:
         raise ValueError("max_count must be at least 1")
-    q, lam = _pair_arrays(model)
-    P = lam.size
-    mass = np.zeros(max_count + 2)
-    # Poisson pmf tracked in log space to survive large rates
-    with np.errstate(divide="ignore"):
-        log_lam = np.log(lam)
-    log_pois = -lam
-    mass[0] = float(np.sum((1.0 - q) + q * np.exp(log_pois))) / P
-    for n in range(1, max_count + 1):
-        log_pois = log_pois + log_lam - math.log(n)
-        mass[n] = float(np.sum(q * np.exp(log_pois))) / P
-    mass[max_count + 1] = max(0.0, 1.0 - mass[:max_count + 1].sum())
-    lowers = np.concatenate([np.arange(max_count + 1), [max_count + 1]])
-    return CountHistogram(lowers=lowers, mass=mass, source="model-expected")
+    return model_count_histogram(model, np.arange(max_count + 2))
 
 
 def sample(model: FittedModel, seed: int) -> MultiGraph:

@@ -138,6 +138,7 @@ class MultiGraph:
             counts = (keys[:, 0], keys[:, 1], list(counts.values()))
         self._rows, self._cols, self._pos, self._w = _canonical_edges(self.space, *counts)
         self._index = {label: k for k, label in enumerate(self.node_ids)}
+        self._derived = {}  # views other modules build once; they cannot go stale
 
     # -- basic accessors ---------------------------------------------------
 
@@ -441,6 +442,24 @@ def excess_kurtosis(values) -> float:
     return float(m4 / (m2 * m2) - 3.0)
 
 
+def _graph_kurtosis(g: MultiGraph) -> float:
+    """``excess_kurtosis(g.count_vector())`` in O(M): exact integer power
+    sums S_k of the nonzero counts, the P - M zeros in closed form, and
+    one correctly rounded division X/Y^2 with Y = P^2 m2, X = P^4 m4."""
+    P = g.n_pairs
+    if P < 2:
+        raise DataError("need at least two values for kurtosis")
+    c = g._w
+    if c.size and int(c.max()) ** 4 * c.size >= 2 ** 63:
+        c = c.astype(object)  # Python ints: the power sums would overflow int64
+    s1, s2, s3, s4 = (int((c ** k).sum()) for k in (1, 2, 3, 4))
+    y = P * s2 - s1 * s1
+    if y <= 0:
+        raise NumericalError("kurtosis undefined: zero variance")
+    x = P ** 3 * s4 - 4 * P ** 2 * s1 * s3 + 6 * P * s1 * s1 * s2 - 3 * s1 ** 4
+    return x / (y * y) - 3.0
+
+
 @dataclass(frozen=True)
 class GraphSummary:
     """Headline statistics of a multigraph."""
@@ -458,7 +477,7 @@ def summary_stats(g: MultiGraph) -> GraphSummary:
     count distribution over all P pairs (zeros included)."""
     P, M, m = g.n_pairs, g.n_links, g.n_multiedges
     try:
-        kurt = excess_kurtosis(g.count_vector())
+        kurt = _graph_kurtosis(g)
     except (DataError, NumericalError):  # one pair, or all counts equal
         kurt = float("nan")
     return GraphSummary(n_nodes=g.n_nodes, n_links=M, n_multiedges=m, density=M / P,
