@@ -127,9 +127,9 @@ def edge_count_histogram(g: MultiGraph, policy: str = "geometric",
 
 
 def _model_cdf_at(model, x: np.ndarray) -> np.ndarray:
-    """Mean over pairs of P(A_ij <= x_k) for each boundary x_k: a pmf
-    recursion while the boundaries run 0, 1, 2, ..., then ``pdtr`` on the
-    pairs whose CDF is still below 1 (it stays 1 for larger x)."""
+    """Mean over pairs of P(A_ij <= x_k) for each boundary x_k: a pmf recursion
+    while the boundaries run 0, 1, ..., 9 (no further: exp(-lambda) underflows
+    past 745), then ``pdtr`` on the pairs whose CDF is still below 1."""
     q, lam = _models._pair_arrays(model)
     out = np.zeros(len(x))
     cdf = np.zeros(lam.size)
@@ -138,7 +138,7 @@ def _model_cdf_at(model, x: np.ndarray) -> np.ndarray:
     for k, xv in enumerate(x):
         if xv < 0:
             continue
-        if xv == step:
+        if xv == step and step < 10:
             if step:
                 pmf *= lam / step
             cdf += pmf
@@ -246,30 +246,31 @@ def _hop_distances(adj: np.ndarray) -> np.ndarray:
 
 
 def _structure(g: MultiGraph, hops: bool = True) -> tuple:
-    """Read-only (symmetric weights, their 0/1 adjacency, its hop distances),
-    each built on first use and kept with the (immutable) graph; without
-    ``hops`` the distances are not built and are None."""
+    """Read-only (0/1 adjacency of the symmetric weights, its hop distances),
+    each built on first use and kept with the immutable graph for its whole
+    lifetime (16 N^2 bytes); without ``hops`` the distances stay None."""
     s = g._derived
     if "adjacency" not in s:
-        s["weights"] = _symmetric_weights(g)
-        s["adjacency"] = (s["weights"] > 0).astype(np.float64)
+        rows, cols, _ = g.edge_arrays()
+        s["adjacency"] = a = np.zeros((g.n_nodes, g.n_nodes))
+        a[rows, cols] = a[cols, rows] = rows != cols
     if hops and "hops" not in s:
         s["hops"] = _hop_distances(s["adjacency"])
     for arr in s.values():
         arr.flags.writeable = False
-    return s["weights"], s["adjacency"], s.get("hops")
+    return s["adjacency"], s.get("hops")
 
 
 def spectral_gap_info(g: MultiGraph) -> tuple:
     """(gap, coverage): second-smallest random-walk Laplacian eigenvalue
     of the weighted giant component, and the fraction of nodes covered.
-    Of equal largest components the one with the lowest node is taken."""
-    w, _, dist = _structure(g)
-    reach = dist >= 0
+    Of equal largest components the one with the lowest node is taken.
+    The adjacency and hop distances stay cached on ``g`` (see _structure)."""
+    reach = _structure(g)[1] >= 0
     giant = np.nonzero(reach[np.argmax(reach.sum(axis=1))])[0]
     if len(giant) < 2:
         raise NumericalError("giant component too small for a spectral gap")
-    sub = w[np.ix_(giant, giant)]
+    sub = _symmetric_weights(g)[np.ix_(giant, giant)]
     deg = sub.sum(axis=1)
     inv_sqrt = 1.0 / np.sqrt(deg)
     lap = np.eye(len(giant)) - inv_sqrt[:, None] * sub * inv_sqrt[None, :]
@@ -283,10 +284,11 @@ def spectral_gap(g: MultiGraph) -> float:
 
 def avg_clustering(g: MultiGraph) -> float:
     """Mean local clustering coefficient of the binarized undirected
-    projection; nodes with degree < 2 contribute 0."""
+    projection; nodes with degree < 2 contribute 0. The adjacency stays
+    cached on ``g`` (see _structure)."""
     if g.n_nodes < 3:
         raise DataError("clustering needs at least 3 nodes")
-    a = _structure(g, hops=False)[1]
+    a = _structure(g, hops=False)[0]
     # 0/1 products summing at most N terms: exact in float64
     deg = a.sum(axis=1).astype(np.int64).tolist()
     links = (((a @ a) * a).sum(axis=1) / 2).astype(np.int64).tolist()
@@ -299,12 +301,13 @@ def avg_clustering(g: MultiGraph) -> float:
 
 
 def avg_path_length_info(g: MultiGraph) -> tuple:
-    """(mean shortest path over connected pairs, coverage fraction)."""
+    """(mean shortest path over connected pairs, coverage fraction). The
+    adjacency and hop distances stay cached on ``g`` (see _structure)."""
     if g.n_nodes < 2:
         raise DataError("path length needs at least 2 nodes")
     if g.n_links == 0:
         raise DataError("path length undefined without edges")
-    dist = _structure(g)[2]
+    dist = _structure(g)[1]
     n = g.n_nodes
     reach = dist[dist > 0]
     total = int(reach.sum())

@@ -946,7 +946,6 @@ def expected_degrees(model: FittedModel) -> tuple:
 def expected_count_distribution(model: FittedModel, max_count: int):
     """Expected fraction of pairs per count 0..max_count plus a tail bucket."""
     from .metrics import model_count_histogram
-
     if max_count < 1:
         raise ValueError("max_count must be at least 1")
     return model_count_histogram(model, np.arange(max_count + 2))

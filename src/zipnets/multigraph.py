@@ -138,7 +138,7 @@ class MultiGraph:
             counts = (keys[:, 0], keys[:, 1], list(counts.values()))
         self._rows, self._cols, self._pos, self._w = _canonical_edges(self.space, *counts)
         self._index = {label: k for k, label in enumerate(self.node_ids)}
-        self._derived = {}  # views other modules build once; they cannot go stale
+        self._derived = {}  # views other modules build once and keep; they cannot go stale
 
     # -- basic accessors ---------------------------------------------------
 
@@ -443,9 +443,8 @@ def excess_kurtosis(values) -> float:
 
 
 def _graph_kurtosis(g: MultiGraph) -> float:
-    """``excess_kurtosis(g.count_vector())`` in O(M): exact integer power
-    sums S_k of the nonzero counts, the P - M zeros in closed form, and
-    one correctly rounded division X/Y^2 with Y = P^2 m2, X = P^4 m4."""
+    """``excess_kurtosis(g.count_vector())`` in O(M): exact power sums S_k of the
+    nonzero counts, zeros in closed form, one rounded division X/Y^2 - 3."""
     P = g.n_pairs
     if P < 2:
         raise DataError("need at least two values for kurtosis")

@@ -21,7 +21,7 @@ from zipnets import MultiGraph, bin_lowers, ensemble_capture, fit, model_count_h
 from zipnets.cli import main
 from zipnets.exceptions import DataError, NumericalError
 from zipnets.metrics import METRIC_FUNCTIONS
-from zipnets.models import ModelFamily, _pair_arrays, sample
+from zipnets.models import ModelFamily, _pair_arrays, expected_count_distribution, sample
 from zipnets.multigraph import _graph_kurtosis, excess_kurtosis, save_graph
 from conftest import planted_zi_graph, random_blocks
 
@@ -238,11 +238,15 @@ def test_count_law_matches_per_boundary_pdtr(fitted_models):
     assert len(fitted_models) == 30
     extreme_rates = 0
     for fitted in fitted_models:
-        for model in (fitted, with_extremes(fitted)):
+        # a rate of 720 makes exp(-lambda) subnormal
+        subnormal = [dataclasses.replace(fitted, p=720.0)] if fitted.p is not None else []
+        for model in [fitted, with_extremes(fitted)] + subnormal:
             lam = _pair_arrays(model)[1]
             extreme_rates += bool((lam == 0).any() and (lam > 745).any())
             for lowers in (bin_lowers(40), bin_lowers(20_000), bin_lowers(12, "unit"),
-                           np.array([0, 1, 2, 5, 6, 7, 3000])):
+                           bin_lowers(1000, "unit"), np.array([0, 1, 2, 5, 6, 7, 3000])):
                 got = model_count_histogram(model, lowers).mass
                 assert np.abs(got - ref_masses(model, lowers)).max() <= 1e-15
+            got = expected_count_distribution(model, 1000)
+            assert np.abs(got.mass - ref_masses(model, np.arange(1002))).max() <= 1e-15
     assert extreme_rates >= 24  # all but the two gnp families, in three spaces
