@@ -230,14 +230,13 @@ def _symmetric_weights(g: MultiGraph) -> np.ndarray:
 def _hop_distances(adj: np.ndarray) -> np.ndarray:
     """Hop counts between all node pairs of a symmetric 0/1 adjacency,
     -1 where unreachable: a BFS from every source at once, one matrix
-    product per level."""
-    n = len(adj)
+    product per level from level 2 on, until every pair is reached or a
+    level reaches none."""
     a = adj.astype(np.float64)
-    dist = np.full((n, n), -1, dtype=np.int64)
+    dist = np.where(a > 0, 1, -1)
     np.fill_diagonal(dist, 0)
-    frontier = np.eye(n)
-    d = 0
-    while frontier.any():
+    frontier, d = a, 1
+    while frontier.any() and (dist < 0).any():
         d += 1
         nxt = (frontier @ a > 0) & (dist < 0)
         dist[nxt] = d

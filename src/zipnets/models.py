@@ -190,45 +190,39 @@ def _zip_loglik(counts: np.ndarray, q: np.ndarray, lam: np.ndarray) -> float:
 # -- per-pair parameter arrays ------------------------------------------------
 
 
+def _layout(model: FittedModel) -> tuple:
+    """(theta_out, theta_in, Lambda, Q, q_out, q_in) of the law every family
+    shares, lambda_ij = theta_out_i theta_in_j Lambda[b_i, b_j] and
+    q_ij = Q[b_i, b_j] q_out_i q_in_j. A factor the family lacks is ones:
+    ``p`` is a 1x1 Lambda and ``q_global`` a 1x1 Q."""
+    def ones(x, shape):
+        return np.ones(shape) if x is None else np.asarray(x, dtype=np.float64)
+
+    n, B = model.space.n, model.blocks.n_blocks if model.blocks else 1
+    lam = model.lambda_blocks if model.p is None else [[float(model.p)]]
+    q = model.q_blocks if model.q_global is None else [[float(model.q_global)]]
+    return (ones(model.theta_out, n), ones(model.theta_in, n), ones(lam, (B, B)),
+            ones(q, (B, B)), ones(model.q_nodes_out, n), ones(model.q_nodes_in, n))
+
+
 def _pair_arrays(model: FittedModel, ii=None, jj=None) -> tuple:
     """(q_ij, lambda_ij) arrays over the pairs (ii, jj); by default the
     canonical pair enumeration."""
     if ii is None:
         ii, jj = model.space.pair_indices()
-    fam = model.family
-    if fam in (ModelFamily.GNP, ModelFamily.ZI_GNP):
-        lam = np.full(len(ii), float(model.p))
-    elif fam in (ModelFamily.SBM, ModelFamily.ZI_SBM):
-        lab = model.block_of()
-        lam = model.lambda_blocks[lab[ii], lab[jj]]
-    elif fam in (ModelFamily.CLCM, ModelFamily.ZI_CLCM, ModelFamily.ZI_CLCM_NODE):
-        lam = model.theta_out[ii] * model.theta_in[jj]
-    else:
-        lab = model.block_of()
-        lam = model.theta_out[ii] * model.theta_in[jj] * model.lambda_blocks[lab[ii], lab[jj]]
-
-    if not fam.zero_inflated:
-        q = np.ones(len(ii))
-    elif fam in (ModelFamily.ZI_GNP, ModelFamily.ZI_CLCM):
-        q = np.full(len(ii), float(model.q_global))
-    elif fam in (ModelFamily.ZI_SBM, ModelFamily.ZI_DCSBM):
-        lab = model.block_of()
-        q = model.q_blocks[lab[ii], lab[jj]]
-    elif fam is ModelFamily.ZI_CLCM_NODE:
-        q = model.q_nodes_out[ii] * model.q_nodes_in[jj]
-    else:  # ZI_DCSBM_NODE
-        lab = model.block_of()
-        q = _block_mixture(model, lab[ii], lab[jj]) * model.q_nodes_out[ii] * model.q_nodes_in[jj]
-    return np.asarray(q, dtype=np.float64), np.asarray(lam, dtype=np.float64)
-
-
-def _block_mixture(model: FittedModel, b: np.ndarray, d: np.ndarray) -> np.ndarray:
-    """Block factor of the mixture for node-level models."""
-    if model.constraint.get("block_q") == "diag":
-        # per-block factor applied to within-block pairs only
-        qdiag = np.diag(model.q_blocks)
-        return np.where(b == d, qdiag[b], 1.0)
-    return model.q_blocks[b, d]
+    theta_out, theta_in, lam, q, q_out, q_in = _layout(model)
+    lab = model.block_of()
+    cell = lab[ii]  # flat index of (b_i, b_j) into the B x B matrices
+    cell *= len(q)
+    cell += lab[jj]
+    # products in place, left to right: every temporary of P floats costs
+    # a fresh allocation
+    qs, lams = q.ravel()[cell], theta_out[ii]
+    qs *= q_out[ii]
+    qs *= q_in[jj]
+    lams *= theta_in[jj]
+    lams *= lam.ravel()[cell]
+    return qs, lams
 
 
 def pair_law(model: FittedModel, i: int, j: int) -> PairLaw:
@@ -594,34 +588,6 @@ def fit_zi_sbm(g: MultiGraph, blocks: BlockAssignment) -> FittedModel:
     return model
 
 
-def fit_zi_clcm(g: MultiGraph, cfg: Optional[OptimizerConfig] = None) -> FittedModel:
-    """Fit the zero-inflated Chung-Lu configuration model.
-
-    Node rates are tied to observed degrees through the first-moment
-    equations; the single mixture weight maximizes the resulting
-    profile log-likelihood over (M/P, 1].
-    """
-    if g.n_multiedges == 0:
-        raise DataError("cannot fit an empty graph (no multi-edges)")
-    cfg = cfg or OptimizerConfig()
-    blk = single_block(g.n_nodes)
-    parts = _decompose_rates(g, blk)
-    rates = _mean_rate_array(g.space, parts, blk.as_array())
-    counts = g.count_vector()
-    q, value, iters, converged = _optimize_mixture(counts, rates, cfg)
-    scale = math.sqrt(parts.Lambda[0, 0] / q)
-    theta_out = parts.phi_out * scale
-    theta_in = parts.phi_in * scale if g.directed else theta_out
-    model = FittedModel(ModelFamily.ZI_CLCM, g.space, node_ids=g.node_ids,
-                        theta_out=theta_out, theta_in=theta_in, q_global=q,
-                        constraint={"type": "theta_sum", "values": [scale]})
-    model.diagnostics.update(_base_diag(g, parts))
-    model.diagnostics["iterations"] = iters
-    model.diagnostics["converged"] = converged
-    model.diagnostics["loglik"] = value
-    return model
-
-
 def _block_pair_groups(space: PairSpace, lab: np.ndarray, B: int) -> dict:
     """Pair-array index slices grouped by (canonical) block pair."""
     ii, jj = space.pair_indices()
@@ -629,9 +595,60 @@ def _block_pair_groups(space: PairSpace, lab: np.ndarray, B: int) -> dict:
     if not space.directed:
         b, d = np.minimum(b, d), np.maximum(b, d)
     code = b * B + d
-    order = np.argsort(code, kind="stable")
-    cells, starts = np.unique(code[order], return_index=True)
-    return {divmod(int(c), B): sel for c, sel in zip(cells, np.split(order, starts[1:]))}
+    # a stable sort of 16-bit keys is a radix sort; its order is the same
+    order = np.argsort(code.astype(np.uint16) if B <= 256 else code, kind="stable")
+    code = code[order]
+    starts = np.flatnonzero(code[1:] != code[:-1]) + 1
+    return {divmod(int(code[k]), B): sel for k, sel in zip(np.r_[0, starts], np.split(order, starts))}
+
+
+def _fit_cell_mixtures(g: MultiGraph, blk: BlockAssignment, cfg: Optional[OptimizerConfig]) -> tuple:
+    """Moment-locked rates, then each block pair's mixture weight by its own
+    one-dimensional profile likelihood; empty block pairs keep q = 0 and
+    add log 1 = 0 per pair. Returns (rate parts, q matrix, diagnostics)."""
+    if g.n_multiedges == 0:
+        raise DataError("cannot fit an empty graph (no multi-edges)")
+    cfg = cfg or OptimizerConfig()
+    _check_block_degrees(block_tallies(g, blk))
+    B = blk.n_blocks
+    lab = blk.as_array()
+    parts = _decompose_rates(g, blk)
+    rates = _mean_rate_array(g.space, parts, lab)
+    counts = g.count_vector()
+    qmat = np.zeros((B, B))
+    diag = _base_diag(g, parts)
+    loglik = 0.0
+    for (b, d), sel in sorted(_block_pair_groups(g.space, lab, B).items()):
+        sub_counts = counts[sel]
+        if not np.any(sub_counts):
+            continue
+        q, value, iters, ok = _optimize_mixture(sub_counts, rates[sel], cfg)
+        qmat[b, d] = q
+        if not g.directed:
+            qmat[d, b] = q
+        diag["iterations"] += iters
+        diag["converged"] = diag["converged"] and ok
+        loglik += value
+    diag["loglik"] = loglik
+    return parts, qmat, diag
+
+
+def fit_zi_clcm(g: MultiGraph, cfg: Optional[OptimizerConfig] = None) -> FittedModel:
+    """Fit the zero-inflated Chung-Lu configuration model: zi_dcsbm with
+    one block, parameterized as theta_i = phi_i sqrt(Lambda / q).
+
+    Node rates are tied to observed degrees through the first-moment
+    equations; the single mixture weight maximizes the resulting
+    profile log-likelihood over (M/P, 1].
+    """
+    parts, qmat, diag = _fit_cell_mixtures(g, single_block(g.n_nodes), cfg)
+    q = qmat[0, 0]
+    scale = math.sqrt(parts.Lambda[0, 0] / q)
+    theta_out = parts.phi_out * scale
+    theta_in = parts.phi_in * scale if g.directed else theta_out
+    return FittedModel(ModelFamily.ZI_CLCM, g.space, node_ids=g.node_ids,
+                       theta_out=theta_out, theta_in=theta_in, q_global=q,
+                       constraint={"type": "theta_sum", "values": [scale]}, diagnostics=diag)
 
 
 def fit_zi_dcsbm(g: MultiGraph, blocks: BlockAssignment,
@@ -645,51 +662,21 @@ def fit_zi_dcsbm(g: MultiGraph, blocks: BlockAssignment,
     one-dimensional profile-likelihood problem.
     """
     blk = _require_blocks(ModelFamily.ZI_DCSBM, blocks, g)
-    if g.n_multiedges == 0:
-        raise DataError("cannot fit an empty graph (no multi-edges)")
-    cfg = cfg or OptimizerConfig()
-    tall = block_tallies(g, blk)
-    _check_block_degrees(tall)
+    parts, qmat, diag = _fit_cell_mixtures(g, blk, cfg)
     B = blk.n_blocks
     lab = blk.as_array()
-    parts = _decompose_rates(g, blk)
-    rates = _mean_rate_array(g.space, parts, lab)
-    counts = g.count_vector()
-    groups = _block_pair_groups(g.space, lab, B)
-
-    qmat = np.zeros((B, B))
-    total_iters = 0
-    converged = True
-    loglik = 0.0
-    for (b, d), sel in sorted(groups.items()):
-        sub_counts = counts[sel]
-        if not np.any(sub_counts):
-            continue  # q = 0 convention for empty block pairs
-        q, value, iters, ok = _optimize_mixture(sub_counts, rates[sel], cfg)
-        qmat[b, d] = q
-        if not g.directed and b != d:
-            qmat[d, b] = q
-        total_iters += iters
-        converged = converged and ok
-        loglik += value
-    # empty block pairs contribute log 1 = 0 per pair
-
     cvec = _constraint_vector(constraints, B)
     with np.errstate(invalid="ignore", divide="ignore"):
         lam = np.where(qmat > 0, parts.Lambda / qmat, 0.0)
     lam = lam / np.outer(cvec, cvec)
     theta_out = parts.phi_out * cvec[lab]
     theta_in = (parts.phi_in * cvec[lab]) if g.directed else theta_out
-    model = FittedModel(ModelFamily.ZI_DCSBM, g.space, node_ids=g.node_ids, blocks=blk,
-                        theta_out=theta_out, theta_in=theta_in,
-                        lambda_blocks=lam, q_blocks=qmat,
-                        constraint={"type": "block_theta_sum", "values": list(map(float, cvec))})
-    model.diagnostics.update(_base_diag(g, parts))
-    model.diagnostics["iterations"] = total_iters
-    model.diagnostics["converged"] = converged
-    model.diagnostics["n_mixture_problems"] = B * B if g.directed else B * (B + 1) // 2
-    model.diagnostics["loglik"] = loglik
-    return model
+    diag["n_mixture_problems"] = B * B if g.directed else B * (B + 1) // 2
+    return FittedModel(ModelFamily.ZI_DCSBM, g.space, node_ids=g.node_ids, blocks=blk,
+                       theta_out=theta_out, theta_in=theta_in,
+                       lambda_blocks=lam, q_blocks=qmat,
+                       constraint={"type": "block_theta_sum", "values": list(map(float, cvec))},
+                       diagnostics=diag)
 
 
 def _constraint_vector(constraints, B: int) -> np.ndarray:
@@ -769,27 +756,22 @@ class _NodeMixture:
 
 
 def fit_zi_node_level(g: MultiGraph, blocks: Optional[BlockAssignment] = None,
-                      cfg: Optional[OptimizerConfig] = None,
-                      block_q: str = "pair") -> FittedModel:
+                      cfg: Optional[OptimizerConfig] = None) -> FittedModel:
     """Fit a model with node-level zero-inflation factors.
 
-    The mixture weight of pair (i, j) is q_out_i * q_in_j, times a
-    block factor when ``blocks`` is given: the full matrix q_bd
-    (``block_q="pair"``) or a per-block factor applied to within-block
-    pairs (``block_q="diag"``). Node rates stay tied to degrees through
-    the first-moment equations, which makes the mean count of every
-    pair independent of the mixture parameters; those are found by
-    box-constrained coordinate ascent on [1e-6, 1], where each
-    coordinate's search evaluates only the pairs that factor touches
-    (``_NodeMixture.coordinate``), so one sweep costs O(P). In a directed
-    space the ``pair`` block factors q_bd and q_db are separate. Zero-degree
-    nodes get q = 0 and are excluded from the optimization.
+    The mixture weight of pair (i, j) is q_out_i * q_in_j, times the
+    block factor q_{b_i b_j} when ``blocks`` is given. Node rates stay
+    tied to degrees through the first-moment equations, which makes the
+    mean count of every pair independent of the mixture parameters;
+    those are found by box-constrained coordinate ascent on [1e-6, 1],
+    where each coordinate's search evaluates only the pairs that factor
+    touches (``_NodeMixture.coordinate``), so one sweep costs O(P). In a
+    directed space the block factors q_bd and q_db are separate.
+    Zero-degree nodes get q = 0 and are excluded from the optimization.
     ``diagnostics["loglik"]`` is the full log-likelihood at the result.
     """
     if g.n_multiedges == 0:
         raise DataError("cannot fit an empty graph (no multi-edges)")
-    if block_q not in ("pair", "diag"):
-        raise DataError(f"unknown block_q structure {block_q!r}")
     cfg = cfg or OptimizerConfig(max_iterations=2000)
     family = ModelFamily.ZI_DCSBM_NODE if blocks is not None else ModelFamily.ZI_CLCM_NODE
     blk = blocks if blocks is not None else single_block(g.n_nodes)
@@ -807,19 +789,11 @@ def fit_zi_node_level(g: MultiGraph, blocks: Optional[BlockAssignment] = None,
     kout, kin = degrees(g)
 
     # free parameters: node factors for nodes with positive degree,
-    # plus block factors for non-empty block pairs (or blocks)
+    # plus block factors for non-empty block pairs
     out_free = np.where(kout > 0)[0]
     in_free = np.where(kin > 0)[0] if g.directed else np.array([], dtype=np.int64)
-    if blocks is not None:
-        if block_q == "pair":
-            if g.directed:
-                cells = [(b, d) for b in range(B) for d in range(B) if tall.m[b, d] > 0]
-            else:
-                cells = [(b, d) for b in range(B) for d in range(b, B) if tall.m[b, d] > 0]
-        else:
-            cells = [(b, b) for b in range(B) if tall.m[b, b] > 0]
-    else:
-        cells = []
+    cells = [] if blocks is None else [
+        (b, d) for b in range(B) for d in range(0 if g.directed else b, B) if tall.m[b, d] > 0]
 
     n_params = len(out_free) + len(in_free) + len(cells)
     # slot of each factor in the vector [x, 1, 0]: fixed block factors
@@ -847,7 +821,7 @@ def fit_zi_node_level(g: MultiGraph, blocks: Optional[BlockAssignment] = None,
     res = maximize_box_constrained(mix.loglik, x0, lower, upper, cfg, coordinate=mix.coordinate)
     qf = mix.factors(res.x)
     q_out, q_in, qmat = qf[slot_out], qf[slot_in], qf[slot_cell]
-    if blocks is not None and block_q == "pair":
+    if blocks is not None:
         # zero out block cells with no activity so sampling stays consistent
         qmat = np.where(tall.m > 0, qmat, 0.0)
 
@@ -864,19 +838,14 @@ def fit_zi_node_level(g: MultiGraph, blocks: Optional[BlockAssignment] = None,
                             q_nodes_out=q_out, q_nodes_in=q_in,
                             constraint={"type": "theta_sum_effective", "values": [scale]})
     else:
-        blockq = qmat.copy()
         with np.errstate(invalid="ignore", divide="ignore"):
-            lam = np.where(blockq > 0, parts.Lambda / blockq, 0.0)
-        if block_q == "diag":
-            # off-diagonal mixture factor is 1; rates keep raw tallies there
-            off = ~np.eye(B, dtype=bool)
-            lam[off] = parts.Lambda[off]
+            lam = np.where(qmat > 0, parts.Lambda / qmat, 0.0)
         model = FittedModel(family, g.space, node_ids=g.node_ids, blocks=blk,
                             theta_out=theta_out, theta_in=theta_in,
-                            lambda_blocks=lam, q_blocks=blockq,
+                            lambda_blocks=lam, q_blocks=qmat,
                             q_nodes_out=q_out, q_nodes_in=q_in,
                             constraint={"type": "block_theta_sum_effective",
-                                        "values": [1.0] * B, "block_q": block_q})
+                                        "values": [1.0] * B, "block_q": "pair"})
     model.diagnostics.update(_base_diag(g, parts))
     model.diagnostics["iterations"] = res.iterations
     model.diagnostics["converged"] = res.converged
@@ -995,44 +964,74 @@ def model_to_json(model: FittedModel) -> dict:
     return obj
 
 
+# the non-null parameter fields of each family's model JSON
+_MODEL_FIELDS = {
+    "gnp": "p", "sbm": "blocks lambda", "clcm": "theta_out theta_in",
+    "dcsbm": "blocks lambda theta_out theta_in", "zi_gnp": "p q",
+    "zi_sbm": "blocks lambda q_blocks", "zi_clcm": "theta_out theta_in q",
+    "zi_dcsbm": "blocks lambda theta_out theta_in q_blocks",
+    "zi_clcm_node": "theta_out theta_in q_nodes",
+    "zi_dcsbm_node": "blocks lambda theta_out theta_in q_blocks q_nodes",
+}
+
+
 def model_from_json(obj: dict) -> FittedModel:
+    """The model a JSON object describes. Its non-null parameter fields
+    must be exactly its family's (_MODEL_FIELDS), with theta and q_nodes
+    of length N, lambda and q_blocks B x B, blocks of length N, finite
+    non-negative values and mixture weights at most 1; anything else
+    raises DataError."""
     try:
-        space = PairSpace(obj["pair_space"]["n"], obj["pair_space"]["directed"],
-                          obj["pair_space"]["loops"])
-        family = ModelFamily(obj["family"])
-    except (KeyError, ValueError) as exc:
+        return _model_from_json(obj)
+    except (KeyError, TypeError, ValueError) as exc:
         raise DataError(f"invalid model JSON: {exc}") from None
-    blocks = None
-    if obj.get("blocks") is not None:
-        blocks = BlockAssignment(labels=tuple(obj["blocks"]))
 
-    def arr(key):
-        val = obj.get(key)
-        return None if val is None else np.asarray(val, dtype=np.float64)
 
-    theta_out = arr("theta_out")
-    theta_in = arr("theta_in")
-    if theta_out is not None and not space.directed:
-        theta_in = theta_out
-    q_nodes = obj.get("q_nodes") or {}
-    q_nodes_out = None if not q_nodes else np.asarray(q_nodes["out"], dtype=np.float64)
-    q_nodes_in = None if not q_nodes else np.asarray(q_nodes["in"], dtype=np.float64)
-    if q_nodes_out is not None and not space.directed:
-        q_nodes_in = q_nodes_out
+def _model_from_json(obj: dict) -> FittedModel:
+    ps = obj["pair_space"]
+    if type(ps["n"]) is not int:  # bool and float are malformed too
+        raise DataError(f"invalid model JSON: node count {ps['n']!r} is not an integer")
+    space = PairSpace(ps["n"], ps["directed"], ps["loops"])
+    family = ModelFamily(obj["family"])
+    given = {k for k in "blocks p lambda theta_out theta_in q q_blocks q_nodes".split()
+             if obj.get(k) is not None}
+    if given != set(_MODEL_FIELDS[family.value].split()):
+        raise DataError(f"invalid model JSON: family {family.value} takes the fields "
+                        f"{_MODEL_FIELDS[family.value]}, not {' '.join(sorted(given))}")
+    constraint = obj.get("constraint") or {}
+    if constraint.get("block_q", "pair") != "pair":
+        raise DataError(f"invalid model JSON: unknown block_q {constraint['block_q']!r}")
+    for key in ("node_ids", "blocks"):
+        if obj.get(key) is not None and len(obj[key]) != space.n:
+            raise DataError(f"invalid model JSON: {key} must have one entry per node")
+    blocks = None if obj.get("blocks") is None else BlockAssignment(labels=tuple(obj["blocks"]))
+    n, B = space.n, blocks.n_blocks if blocks else 1
+    pairs = [(k, obj[k]) for k in sorted(given - {"blocks", "q_nodes"})]
+    if "q_nodes" in given:
+        pairs += [("q_out", obj["q_nodes"]["out"]), ("q_in", obj["q_nodes"]["in"])]
+    par = {k: np.asarray(v, dtype=np.float64) for k, v in pairs}
+    for k, v in par.items():
+        shape = {"p": (), "q": (), "lambda": (B, B), "q_blocks": (B, B)}.get(k, (n,))
+        if v.shape != shape:
+            raise DataError(f"invalid model JSON: {k} has shape {v.shape}, not {shape}")
+        if not np.all(np.isfinite(v) & (v >= 0)) or (k.startswith("q") and np.any(v > 1)):
+            raise DataError(f"invalid model JSON: {k} must be finite, non-negative"
+                            f"{' and at most 1' if k.startswith('q') else ''}")
+    tie = not space.directed
     return FittedModel(
         family=family,
         space=space,
         node_ids=tuple(obj["node_ids"]) if obj.get("node_ids") else None,
         blocks=blocks,
         p=obj.get("p"),
-        lambda_blocks=arr("lambda"),
-        theta_out=theta_out,
-        theta_in=theta_in,
+        lambda_blocks=par.get("lambda"),
+        theta_out=par.get("theta_out"),
+        theta_in=par.get("theta_out" if tie else "theta_in"),
         q_global=obj.get("q"),
-        q_blocks=arr("q_blocks"),
-        q_nodes_out=q_nodes_out,
-        q_nodes_in=q_nodes_in,
-        constraint=obj.get("constraint") or {},
+        q_blocks=par.get("q_blocks"),
+        q_nodes_out=par.get("q_out"),
+        q_nodes_in=par.get("q_out" if tie else "q_in"),
+        constraint=constraint,
         diagnostics=obj.get("diagnostics") or {},
     )
 

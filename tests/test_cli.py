@@ -182,6 +182,21 @@ class TestSample:
         g = load_graph(out / "sample_0000.json")
         assert g.n_multiedges == 0
 
+    @pytest.mark.parametrize("edit", [{"q_blocks": None}, {"theta_out": None},
+                                      {"q": 0.5}, {"theta_in": [1.0]}])
+    def test_malformed_model_is_a_data_error(self, graph_file, tmp_path, capsys, edit):
+        model_path = tmp_path / "model.json"
+        assert main(["fit", "--input", str(graph_file), "--family", "zi_dcsbm",
+                     "--blocks", "detect", "--out", str(model_path)]) == 0
+        obj = json.loads(model_path.read_text())
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(dict(obj, **edit)))
+        out = tmp_path / "samples"
+        assert main(["sample", "--model", str(bad), "-n", "1", "--seed", "0",
+                     "--out", str(out)]) == 2
+        assert "invalid model JSON" in capsys.readouterr().err
+        assert not (out / "sample_0000.json").exists()
+
 
 class TestReport:
     def test_report_two_models(self, graph_file, tmp_path, capsys):

@@ -1,5 +1,6 @@
 import dataclasses
 import functools
+import json
 import math
 from typing import Callable, Optional
 from unittest import mock
@@ -634,7 +635,7 @@ class TestFitNodeLevel:
     def test_blocked_variant_records_structure(self):
         g = planted_zi_graph(18, 16, q=0.5, rate=5.0)
         blocks = random_blocks(19, 16, 2)
-        model = fit_zi_node_level(g, blocks=blocks, block_q="pair")
+        model = fit_zi_node_level(g, blocks=blocks)
         assert model.family is ModelFamily.ZI_DCSBM_NODE
         assert model.constraint["block_q"] == "pair"
         law = pair_law(model, 0, 5)
@@ -642,19 +643,6 @@ class TestFitNodeLevel:
         expected_q = (model.q_blocks[lab[0], lab[5]]
                       * model.q_nodes_out[0] * model.q_nodes_in[5])
         assert law.q == pytest.approx(expected_q, rel=1e-12)
-        diag = fit_zi_node_level(g, blocks=blocks, block_q="diag")
-        assert diag.constraint["block_q"] == "diag"
-        lab2 = blocks.as_array()
-        within = [(i, j) for i in range(16) for j in range(i + 1, 16)
-                  if lab2[i] == lab2[j]][0]
-        cross = [(i, j) for i in range(16) for j in range(i + 1, 16)
-                 if lab2[i] != lab2[j]][0]
-        qd = np.diag(diag.q_blocks)
-        assert pair_law(diag, *within).q == pytest.approx(
-            qd[lab2[within[0]]] * diag.q_nodes_out[within[0]]
-            * diag.q_nodes_in[within[1]], rel=1e-12)
-        assert pair_law(diag, *cross).q == pytest.approx(
-            diag.q_nodes_out[cross[0]] * diag.q_nodes_in[cross[1]], rel=1e-12)
 
     def test_directed_pair_block_factors_are_separate(self):
         # planted q_01 = 0.15 and q_10 = 0.8; a symmetric block-factor matrix
@@ -663,20 +651,9 @@ class TestFitNodeLevel:
         g = planted_zi_graph(5, 24, directed=True, q_matrix=[[0.9, 0.15], [0.8, 0.9]],
                              blocks=labels, rate=4.0)
         blocks = BlockAssignment(labels=tuple(labels), n_blocks=2)
-        model = fit_zi_node_level(g, blocks=blocks, block_q="pair")
+        model = fit_zi_node_level(g, blocks=blocks)
         assert model.q_blocks[0, 1] < model.q_blocks[1, 0]
         assert model.diagnostics["loglik"] >= -988.1408740541159
-
-    def test_diag_variant_round_trip(self, tmp_path):
-        g = planted_zi_graph(44, 14, q=0.5, rate=5.0)
-        blocks = random_blocks(45, 14, 2)
-        model = fit_zi_node_level(g, blocks=blocks, block_q="diag")
-        path = tmp_path / "diag.json"
-        save_model(model, path)
-        loaded = load_model(path)
-        q1, l1 = _pair_arrays(model)
-        q2, l2 = _pair_arrays(loaded)
-        assert np.array_equal(q1, q2) and np.array_equal(l1, l2)
 
 
 class TestExpectations:
@@ -879,6 +856,148 @@ class TestModelSerialization:
         assert set(obj) >= {"family", "pair_space", "p", "q", "constraint", "diagnostics"}
         clone = model_from_json(obj)
         assert clone.p == obj["p"]
+
+
+@functools.lru_cache(maxsize=None)
+def _fitted_json(family: str) -> str:
+    g = planted_zi_graph(33, 12, directed=True, q=0.6, rate=4.0)
+    return json.dumps(model_to_json(fit(family, g, random_blocks(34, 12, 2))))
+
+
+_PARAMETER_FIELDS = ("blocks", "p", "lambda", "theta_out", "theta_in", "q", "q_blocks", "q_nodes")
+
+
+def _misshapen(key, value):
+    """``value`` with the wrong shape: one entry too many or a scalar boxed."""
+    if key == "q_nodes":
+        return {"out": value["out"][:-1], "in": value["in"]}
+    if key in ("p", "q"):
+        return [value]
+    return value + value[:1]
+
+
+class TestModelJsonValidation:
+    @pytest.mark.parametrize("family", [f.value for f in ModelFamily])
+    def test_fields_must_be_exactly_the_familys(self, family):
+        obj = json.loads(_fitted_json(family))
+        model_from_json(obj)
+        stray = {"p": 1.5, "q": 0.5, "lambda": [[1.0, 1.0], [1.0, 1.0]],
+                 "q_blocks": [[0.5, 0.5], [0.5, 0.5]], "theta_out": [1.0] * 12,
+                 "theta_in": [1.0] * 12, "blocks": [0, 1] * 6,
+                 "q_nodes": {"out": [0.5] * 12, "in": [0.5] * 12}}
+        for key in _PARAMETER_FIELDS:
+            if obj[key] is None:
+                edits = [stray[key]]
+            else:
+                edits = [None, _misshapen(key, obj[key])]
+            for value in edits:
+                with pytest.raises(DataError, match="invalid model JSON"):
+                    model_from_json(dict(obj, **{key: value}))
+
+    @pytest.mark.parametrize("key,value", [("theta_out", -1.0), ("lambda", float("nan")),
+                                           ("q_blocks", 1.5), ("theta_in", float("inf"))])
+    def test_values_out_of_range(self, key, value):
+        obj = json.loads(_fitted_json("zi_dcsbm"))
+        bad = np.array(obj[key])
+        bad.flat[0] = value
+        with pytest.raises(DataError, match="invalid model JSON"):
+            model_from_json(dict(obj, **{key: bad.tolist()}))
+
+    @pytest.mark.parametrize("long", [False, True])
+    def test_node_ids_one_per_node(self, long):
+        # one label too many used to sample a graph with an extra node
+        obj = json.loads(_fitted_json("zi_gnp"))
+        ids = obj["node_ids"] + ["extra"] if long else obj["node_ids"][:-1]
+        with pytest.raises(DataError, match="invalid model JSON"):
+            model_from_json(dict(obj, node_ids=ids))
+
+    def test_diag_block_factor_file_is_rejected(self, tmp_path):
+        # the retired ``block_q="diag"`` layout applied q_bb to within-block pairs only
+        obj = json.loads(_fitted_json("zi_dcsbm_node"))
+        obj["constraint"]["block_q"] = "diag"
+        path = tmp_path / "diag.json"
+        path.write_text(json.dumps(obj))
+        with pytest.raises(DataError, match="block_q"):
+            load_model(path)
+
+    @pytest.mark.parametrize("obj", [{}, {"family": "zi_gnp"}, {"family": "nope"},
+                                     {"family": "gnp", "pair_space": {"n": 3}},
+                                     {"family": "gnp", "pair_space": [3, False, False]},
+                                     {"family": "gnp", "p": 1.0,
+                                      "pair_space": {"n": 3.5, "directed": False, "loops": False}}])
+    def test_malformed_header(self, obj):
+        with pytest.raises(DataError, match="invalid model JSON"):
+            model_from_json(obj)
+
+
+def _reference_pair_arrays(model: FittedModel, ii=None, jj=None) -> tuple:
+    """The per-family case analysis the shared layout replaced, kept
+    verbatim, with ``_block_mixture``'s ``pair`` branch inlined."""
+    if ii is None:
+        ii, jj = model.space.pair_indices()
+    fam = model.family
+    if fam in (ModelFamily.GNP, ModelFamily.ZI_GNP):
+        lam = np.full(len(ii), float(model.p))
+    elif fam in (ModelFamily.SBM, ModelFamily.ZI_SBM):
+        lab = model.block_of()
+        lam = model.lambda_blocks[lab[ii], lab[jj]]
+    elif fam in (ModelFamily.CLCM, ModelFamily.ZI_CLCM, ModelFamily.ZI_CLCM_NODE):
+        lam = model.theta_out[ii] * model.theta_in[jj]
+    else:
+        lab = model.block_of()
+        lam = model.theta_out[ii] * model.theta_in[jj] * model.lambda_blocks[lab[ii], lab[jj]]
+
+    if not fam.zero_inflated:
+        q = np.ones(len(ii))
+    elif fam in (ModelFamily.ZI_GNP, ModelFamily.ZI_CLCM):
+        q = np.full(len(ii), float(model.q_global))
+    elif fam in (ModelFamily.ZI_SBM, ModelFamily.ZI_DCSBM):
+        lab = model.block_of()
+        q = model.q_blocks[lab[ii], lab[jj]]
+    elif fam is ModelFamily.ZI_CLCM_NODE:
+        q = model.q_nodes_out[ii] * model.q_nodes_in[jj]
+    else:  # ZI_DCSBM_NODE
+        lab = model.block_of()
+        q = model.q_blocks[lab[ii], lab[jj]] * model.q_nodes_out[ii] * model.q_nodes_in[jj]
+    return np.asarray(q, dtype=np.float64), np.asarray(lam, dtype=np.float64)
+
+
+class TestSharedLayout:
+    @settings(max_examples=300, deadline=None)
+    @given(st.data())
+    def test_matches_the_per_family_case_analysis(self, data):
+        family = data.draw(st.sampled_from(list(ModelFamily)))
+        directed, loops = data.draw(st.sampled_from([(False, False), (True, False), (True, True)]))
+        n = data.draw(st.integers(2, 9))
+        B = data.draw(st.integers(1, min(n, 3))) if family.needs_blocks else 1
+        labels = data.draw(st.permutations(list(range(B)) + data.draw(
+            st.lists(st.integers(0, B - 1), min_size=n - B, max_size=n - B))))
+        # full-mantissa values, so that a reordered product shows in the
+        # last bits; exact zeros stand for q = 0 cells, zero-degree nodes
+        # and lambda = 0
+        rng = np.random.default_rng(data.draw(st.integers(0, 2 ** 32 - 1)))
+
+        def draw(shape, mixture=False):
+            x = rng.uniform(0.0, 1.0, shape) if mixture else rng.lognormal(0.0, 4.0, shape)
+            x[rng.random(shape) < 0.15] = 0.0
+            if mixture:
+                x[rng.random(shape) < 0.1] = 1.0
+            return x.tolist()
+
+        values = {"blocks": labels, "p": draw(()), "q": draw((), True),
+                  "lambda": draw((B, B)), "q_blocks": draw((B, B), True),
+                  "theta_out": draw(n), "theta_in": draw(n),
+                  "q_nodes": {"out": draw(n, True), "in": draw(n, True)}}
+        fields = zipnets.models._MODEL_FIELDS[family.value].split()
+        obj = {"family": family.value, "pair_space": {"n": n, "directed": directed, "loops": loops},
+               **{k: values[k] if k in fields else None for k in values}}
+        model = model_from_json(obj)
+        ii, jj = model.space.pair_indices()
+        k = data.draw(st.integers(0, len(ii) - 1))
+        for pairs in ((), (ii[k:], jj[k:])):
+            got, want = _pair_arrays(model, *pairs), _reference_pair_arrays(model, *pairs)
+            for a, b in zip(got, want):
+                assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
 
 
 # -- node-level fits against the full-objective coordinate ascent ---------------
@@ -1103,11 +1222,11 @@ _SPACES = [(False, False), (True, False), (True, True)]
 class TestNodeLevelReference:
     @pytest.mark.parametrize("directed,loops", _SPACES)
     @pytest.mark.parametrize("block_q,empty_cell", [(None, False), ("pair", False),
-                                                    ("pair", True), ("diag", False)])
+                                                    ("pair", True)])
     def test_matches_full_objective_ascent(self, directed, loops, block_q, empty_cell):
         g, blocks = _reference_case(directed, loops, block_q, empty_cell)
-        got = fit_zi_node_level(g, blocks=blocks, block_q=block_q or "pair")
-        want = _reference_fit_zi_node_level(g, blocks=blocks, block_q=block_q or "pair")
+        got = fit_zi_node_level(g, blocks=blocks)
+        want = _reference_fit_zi_node_level(g, blocks=blocks)
         assert got.q_nodes_out[-1] == 0.0
         assert got.diagnostics["loglik"] == pytest.approx(log_likelihood(got, g), rel=1e-12)
         if directed and block_q == "pair" and not empty_cell:
@@ -1135,7 +1254,7 @@ def _node_level_problem(directed, loops, block_q):
                                         coordinate=coordinate)
 
     with mock.patch.object(zipnets.models, "maximize_box_constrained", record):
-        fit_zi_node_level(g, blocks=blocks, block_q=block_q or "pair")
+        fit_zi_node_level(g, blocks=blocks)
     return seen["objective"], seen["coordinate"], seen["n"]
 
 
@@ -1144,7 +1263,7 @@ class TestCoordinateFunction:
     @given(st.data())
     def test_differences_match_the_full_likelihood(self, data):
         directed, loops = data.draw(st.sampled_from(_SPACES))
-        block_q = data.draw(st.sampled_from([None, "pair", "diag"]))
+        block_q = data.draw(st.sampled_from([None, "pair"]))
         objective, coordinate, n = _node_level_problem(directed, loops, block_q)
         unit = st.floats(1e-6, 1.0)
         x = np.array(data.draw(st.lists(unit, min_size=n, max_size=n)))
