@@ -310,7 +310,9 @@ def _cmd_bench(args) -> int:
     rng = np.random.default_rng(args.seed)
     fam = _models.ModelFamily(args.family)
     node_level = fam in (_models.ModelFamily.ZI_CLCM_NODE, _models.ModelFamily.ZI_DCSBM_NODE)
-    cfg = OptimizerConfig(max_iterations=args.max_steps) if node_level else None
+    cfg = None
+    if node_level and args.max_steps is not None:
+        cfg = OptimizerConfig(max_iterations=args.max_steps)
     rows = []
     n_values = [int(x) for x in args.n_range.split(",")]
     b_values = [int(x) for x in args.b_range.split(",")]
@@ -416,8 +418,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--b-range", default="2,4", help="comma-separated block counts")
     p.add_argument("--reps", type=int, default=3)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--max-steps", type=int, default=2000,
-                   help="coordinate-step budget of the node-level fits")
+    p.add_argument("--max-steps", type=int, default=None,
+                   help="coordinate-step budget of the node-level fits "
+                        "(default: max(2000, 20 x free factors))")
     p.add_argument("--out", required=True)
     p.set_defaults(func=_cmd_bench)
 

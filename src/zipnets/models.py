@@ -270,8 +270,7 @@ class _RateParts:
     residual: float
 
 
-def _decompose_rates(g: MultiGraph, blocks: BlockAssignment) -> _RateParts:
-    tall = block_tallies(g, blocks)
+def _decompose_rates(g: MultiGraph, blocks: BlockAssignment, tall: BlockTallies) -> _RateParts:
     kout, kin = (k.astype(np.float64) for k in degrees(g))
     lab = blocks.as_array()
 
@@ -476,7 +475,7 @@ def fit_poisson(family, g: MultiGraph, blocks: Optional[BlockAssignment] = None)
         tall = block_tallies(g, blk)
         if family is ModelFamily.DCSBM:
             _check_block_degrees(tall)
-        parts = _decompose_rates(g, blk)
+        parts = _decompose_rates(g, blk, tall)
         if family is ModelFamily.CLCM:
             scale = math.sqrt(parts.Lambda[0, 0])
             theta_out = parts.phi_out * scale
@@ -609,10 +608,11 @@ def _fit_cell_mixtures(g: MultiGraph, blk: BlockAssignment, cfg: Optional[Optimi
     if g.n_multiedges == 0:
         raise DataError("cannot fit an empty graph (no multi-edges)")
     cfg = cfg or OptimizerConfig()
-    _check_block_degrees(block_tallies(g, blk))
+    tall = block_tallies(g, blk)
+    _check_block_degrees(tall)
     B = blk.n_blocks
     lab = blk.as_array()
-    parts = _decompose_rates(g, blk)
+    parts = _decompose_rates(g, blk, tall)
     rates = _mean_rate_array(g.space, parts, lab)
     counts = g.count_vector()
     qmat = np.zeros((B, B))
@@ -768,11 +768,13 @@ def fit_zi_node_level(g: MultiGraph, blocks: Optional[BlockAssignment] = None,
     touches (``_NodeMixture.coordinate``), so one sweep costs O(P). In a
     directed space the block factors q_bd and q_db are separate.
     Zero-degree nodes get q = 0 and are excluded from the optimization.
-    ``diagnostics["loglik"]`` is the full log-likelihood at the result.
+    Without ``cfg`` the step budget is max(2000, 20 x free factors), twenty
+    sweeps, so it grows with the problem; ``cfg.max_iterations`` counts
+    coordinate steps. ``diagnostics["loglik"]`` is the full log-likelihood
+    at the result.
     """
     if g.n_multiedges == 0:
         raise DataError("cannot fit an empty graph (no multi-edges)")
-    cfg = cfg or OptimizerConfig(max_iterations=2000)
     family = ModelFamily.ZI_DCSBM_NODE if blocks is not None else ModelFamily.ZI_CLCM_NODE
     blk = blocks if blocks is not None else single_block(g.n_nodes)
     if blocks is not None and len(blk.labels) != g.n_nodes:
@@ -782,7 +784,7 @@ def fit_zi_node_level(g: MultiGraph, blocks: Optional[BlockAssignment] = None,
         _check_block_degrees(tall)
     B = blk.n_blocks
     lab = blk.as_array()
-    parts = _decompose_rates(g, blk)
+    parts = _decompose_rates(g, blk, tall)
     rates = _mean_rate_array(g.space, parts, lab)
     counts = g.count_vector()
     ii, jj = g.space.pair_indices()
@@ -796,6 +798,7 @@ def fit_zi_node_level(g: MultiGraph, blocks: Optional[BlockAssignment] = None,
         (b, d) for b in range(B) for d in range(0 if g.directed else b, B) if tall.m[b, d] > 0]
 
     n_params = len(out_free) + len(in_free) + len(cells)
+    cfg = cfg or OptimizerConfig(max_iterations=max(2000, 20 * n_params))
     # slot of each factor in the vector [x, 1, 0]: fixed block factors
     # are 1, the node factors of zero-degree nodes 0
     one, zero = n_params, n_params + 1

@@ -618,8 +618,24 @@ def graph_from_json(obj: dict) -> MultiGraph:
 
 
 def save_graph(g: MultiGraph, path) -> None:
+    """Write ``json.dump(graph_to_json(g), fh, indent=2, sort_keys=True)``
+    and a newline, byte for byte, without the pure-Python encoder that
+    ``indent`` forces on every edge row.
+
+    The small fields go through ``json.dumps`` with an empty edge list;
+    the edge rows are then spliced in, one value per line. The splice
+    point is the first ``"edges": []``: with sorted keys only
+    ``"directed": <bool>`` precedes it.
+    """
+    head = {"n_nodes": g.n_nodes, "directed": g.directed, "loops": g.loops_allowed,
+            "node_ids": list(g.node_ids), "edges": []}
+    text = json.dumps(head, indent=2, sort_keys=True)
+    if g.n_links:
+        rows = ",\n".join(f"    [\n      {i},\n      {j},\n      {w}\n    ]"
+                          for i, j, w in zip(*(a.tolist() for a in g.edge_arrays())))
+        text = text.replace('"edges": []', f'"edges": [\n{rows}\n  ]', 1)
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(graph_to_json(g), fh, indent=2, sort_keys=True)
+        fh.write(text)
         fh.write("\n")
 
 

@@ -1,4 +1,5 @@
 import gzip
+import hashlib
 import json
 
 import numpy as np
@@ -6,7 +7,8 @@ import pytest
 
 import zipnets.models
 
-from zipnets import load_graph, save_graph
+from zipnets import (aggregate_contacts, graph_to_json, load_graph, load_model,
+                     parse_contact_log, sample, save_graph)
 from zipnets.cli import main
 from conftest import planted_zi_graph, zi_block_surrogate
 
@@ -81,6 +83,17 @@ class TestAggregate:
         assert main(["aggregate", "--input", str(packed), "--out", str(out_gz)]) == 0
         assert out.read_text() == out_gz.read_text()
 
+    def test_labels_that_need_escaping_round_trip(self, tmp_path):
+        labels = ['q"uote', "back\\slash", "ctl\x01\x7f", "né", "雪", "\U0001f600"]
+        lines = [f"{t} {labels[t % 6]} {labels[(t + 1 + t // 6) % 6]}" for t in range(30)]
+        log = tmp_path / "contacts.txt"
+        log.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        out = tmp_path / "g.json"
+        assert main(["aggregate", "--input", str(log), "--out", str(out)]) == 0
+        g = load_graph(out)
+        assert sorted(g.node_ids) == sorted(labels)
+        assert graph_to_json(g) == graph_to_json(aggregate_contacts(parse_contact_log(log)))
+
 
 class TestFit:
     def test_fit_zi_gnp_schema(self, graph_file, tmp_path, capsys):
@@ -152,6 +165,24 @@ class TestSample:
         m2 = json.loads((d2 / "manifest.json").read_text())
         assert m1["files"] == m2["files"]
         assert len(m1["files"]) == 3
+
+    def test_files_hash_and_load_as_drawn(self, tmp_path):
+        graph = tmp_path / "graph.json"
+        save_graph(planted_zi_graph(5, 14, directed=True, loops=True, q=0.5, rate=3.0), graph)
+        model_path, out = tmp_path / "model.json", tmp_path / "samples"
+        assert main(["fit", "--input", str(graph), "--family", "zi_clcm",
+                     "--out", str(model_path)]) == 0
+        assert main(["sample", "--model", str(model_path), "-n", "4", "--seed", "9",
+                     "--out", str(out)]) == 0
+        model = load_model(model_path)
+        assert model.space.directed and model.space.loops
+        seeds = np.random.default_rng(9).integers(0, 2 ** 62, size=4)
+        files = json.loads((out / "manifest.json").read_text())["files"]
+        assert [f["file"] for f in files] == [f"sample_{k:04d}.json" for k in range(4)]
+        for f, seed in zip(files, seeds):
+            path = out / f["file"]
+            assert hashlib.sha256(path.read_bytes()).hexdigest() == f["sha256"]
+            assert graph_to_json(load_graph(path)) == graph_to_json(sample(model, int(seed)))
 
     def test_bulk_sampling_is_fast(self, tmp_path):
         # a KH-sized model (47 nodes) must sample hundreds of

@@ -535,8 +535,8 @@ class TestMomentFixedPoint:
         n_blocks = data.draw(st.integers(1, 3))
         blocks = random_blocks(data.draw(st.integers(0, 2 ** 32 - 1)), n, n_blocks)
 
-        parts = _decompose_rates(g, blocks)
         tall = block_tallies(g, blocks)
+        parts = _decompose_rates(g, blocks, tall)
         k = degrees(g)[0].astype(float)
         lab = blocks.as_array()
         kappa = tall.kappa_out[lab]
@@ -1102,7 +1102,7 @@ def _reference_fit_zi_node_level(g: MultiGraph, blocks: Optional[BlockAssignment
         _check_block_degrees(tall)
     B = blk.n_blocks
     lab = blk.as_array()
-    parts = _decompose_rates(g, blk)
+    parts = _decompose_rates(g, blk, tall)
     rates = _mean_rate_array(g.space, parts, lab)
     counts = g.count_vector()
     ii, jj = g.space.pair_indices()
@@ -1322,7 +1322,8 @@ class TestMixtureProfile:
         if not counts.any():
             return
         blk = single_block(n)
-        rates = _mean_rate_array(g.space, _decompose_rates(g, blk), blk.as_array())
+        parts = _decompose_rates(g, blk, block_tallies(g, blk))
+        rates = _mean_rate_array(g.space, parts, blk.as_array())
         # a cell: every pair, a random subset, or only the positive pairs (q_lo >= 1)
         cell = data.draw(st.sampled_from(["all", "subset", "positive"]))
         if cell == "positive":

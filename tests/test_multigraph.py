@@ -19,10 +19,12 @@ from zipnets import (
     excess_kurtosis,
     graph_from_json,
     graph_to_json,
+    load_graph,
     parse_contact_log,
     parse_weighted_edgelist,
     prefix_series,
     read_block_assignment,
+    save_graph,
     summary_stats,
     write_block_assignment,
 )
@@ -382,6 +384,54 @@ class TestSerialization:
             BlockAssignment(labels=(0, 2), n_blocks=3)  # block 1 empty
         with pytest.raises(DataError):
             BlockAssignment(labels=(0, -1), n_blocks=2)
+
+
+def _reference_save_graph(g, path):
+    """The ``json.dump`` writer ``save_graph`` replaced, kept verbatim as the reference."""
+    with open(path, "w", encoding="utf-8") as fh:
+        json.dump(graph_to_json(g), fh, indent=2, sort_keys=True)
+        fh.write("\n")
+
+
+@st.composite
+def writer_graphs(draw):
+    directed, loops = draw(st.sampled_from([(True, True), (True, False), (False, False)]))
+    n = draw(st.integers(1, 6))
+    labels = draw(st.lists(st.text(max_size=4), min_size=n, max_size=n, unique=True))
+    ii, jj = PairSpace(n, directed, loops).pair_indices()
+    weight = st.one_of(st.just(0), st.integers(1, 30), st.integers(2 ** 53, 2 ** 63 - 1))
+    w = draw(st.lists(weight, min_size=ii.size, max_size=ii.size))
+    return MultiGraph(labels, (ii, jj, np.array(w, dtype=np.int64)), directed, loops)
+
+
+class TestGraphWriter:
+    @staticmethod
+    def _same_bytes(g, d):
+        ours, ref = d / "ours.json", d / "ref.json"
+        save_graph(g, ours)
+        _reference_save_graph(g, ref)
+        assert ours.read_bytes() == ref.read_bytes()
+        back = load_graph(ours)
+        assert (back.node_ids, back.space, back.counts) == (g.node_ids, g.space, g.counts)
+
+    @settings(max_examples=300, deadline=None)
+    @given(writer_graphs())
+    def test_bytes_match_json_dump(self, tmp_path_factory, g):
+        self._same_bytes(g, tmp_path_factory.mktemp("writer"))
+
+    @pytest.mark.parametrize("directed,loops", [(True, True), (True, False), (False, False)])
+    @pytest.mark.parametrize("labels,edges", [
+        (list("abc"), {}),                                  # no edges
+        (["solo"], {}),                                     # N = 1
+        (list("abc"), {(0, 1): 2 ** 53 + 1, (1, 2): 2 ** 63 - 1}),
+        (['q"uote', "back\\slash", "ctl\x00\x1f\x7f", "né", "雪 ", "\U0001f600"],
+         {(0, 1): 1, (4, 5): 2}),
+    ])
+    def test_bytes_match_json_dump_by_hand(self, tmp_path, directed, loops, labels, edges):
+        self._same_bytes(MultiGraph(labels, edges, directed, loops), tmp_path)
+
+    def test_n1_with_loop(self, tmp_path):
+        self._same_bytes(MultiGraph(["x"], {(0, 0): 7}, directed=True, loops=True), tmp_path)
 
 
 class _ReferenceMultiGraph:
