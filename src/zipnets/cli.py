@@ -85,10 +85,15 @@ def _dump_json(obj, path) -> None:
         fh.write("\n")
 
 
-def _load_input(args) -> MultiGraph:
-    path = Path(args.input)
+def _existing(path, what: str = "input") -> Path:
+    path = Path(path)
     if not path.exists():
-        raise DataError(f"input file not found: {path}")
+        raise DataError(f"{what} file not found: {path}")
+    return path
+
+
+def _load_input(args) -> MultiGraph:
+    path = _existing(args.input)
     fmt = args.format
     if fmt == "graph-json":
         return load_graph(path)
@@ -108,10 +113,7 @@ def _resolve_blocks(args, g: MultiGraph):
     if src == "detect":
         assignment = _blocks.detect_communities(g, seed=args.seed, resolution=args.resolution)
         return assignment, True
-    path = Path(src)
-    if not path.exists():
-        raise DataError(f"blocks file not found: {path}")
-    with open(path, "rb") as fh:
+    with open(_existing(src, "blocks"), "rb") as fh:
         return read_block_assignment(g, fh), False
 
 
@@ -146,8 +148,7 @@ def _cmd_fetch(args) -> int:
 
 
 def _cmd_aggregate(args) -> int:
-    with open(args.input, "rb") as fh:
-        log = parse_contact_log(fh)
+    log = parse_contact_log(_existing(args.input))
     window = None
     if args.t0 is not None or args.t1 is not None:
         t0 = args.t0 if args.t0 is not None else log.t_min
@@ -190,7 +191,7 @@ def _cmd_fit(args) -> int:
 
 
 def _cmd_sample(args) -> int:
-    model = _models.load_model(args.model)
+    model = _models.load_model(_existing(args.model, "model"))
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     rng = np.random.default_rng(args.seed)
@@ -225,8 +226,8 @@ def _capture_block(rep_a, rep_b):
 
 def _cmd_report(args) -> int:
     g = _load_input(args)
-    model_a = _models.load_model(args.model_a)
-    model_b = _models.load_model(args.model_b) if args.model_b else None
+    model_a = _models.load_model(_existing(args.model_a, "model"))
+    model_b = _models.load_model(_existing(args.model_b, "model")) if args.model_b else None
     _models._check_same_space(model_a, g)
     if model_b is not None:
         _models._check_same_space(model_b, g)
@@ -314,11 +315,9 @@ def _cmd_bench(args) -> int:
     if node_level and args.max_steps is not None:
         cfg = OptimizerConfig(max_iterations=args.max_steps)
     rows = []
-    n_values = [int(x) for x in args.n_range.split(",")]
-    b_values = [int(x) for x in args.b_range.split(",")]
-    for n in n_values:
-        for b in b_values:
-            if b >= n:
+    for n in args.n_range:
+        for b in args.b_range:
+            if not 0 < b < n:
                 continue
             times = []
             problems = None
@@ -347,6 +346,18 @@ def _cmd_bench(args) -> int:
 
 
 # -- parser -------------------------------------------------------------------
+
+
+def _count(text: str) -> int:
+    """argparse type: a non-negative integer."""
+    if not text.isdecimal():
+        raise argparse.ArgumentTypeError(f"expected a non-negative integer, got {text!r}")
+    return int(text)
+
+
+def _counts(text: str) -> list:
+    """argparse type: comma-separated non-negative integers."""
+    return [_count(x) for x in text.split(",")]
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -395,7 +406,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("sample", help="draw realizations from a model file")
     p.add_argument("--model", required=True)
-    p.add_argument("-n", "--n-samples", type=int, default=1)
+    p.add_argument("-n", "--n-samples", type=_count, default=1)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", required=True, help="output directory")
     p.set_defaults(func=_cmd_sample)
@@ -414,9 +425,9 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("bench", help="fit-time scaling over graph sizes")
     p.add_argument("--family", default="zi_dcsbm",
                    choices=[f.value for f in _models.ModelFamily])
-    p.add_argument("--n-range", default="20,40", help="comma-separated node counts")
-    p.add_argument("--b-range", default="2,4", help="comma-separated block counts")
-    p.add_argument("--reps", type=int, default=3)
+    p.add_argument("--n-range", type=_counts, default="20,40", help="comma-separated node counts")
+    p.add_argument("--b-range", type=_counts, default="2,4", help="comma-separated block counts")
+    p.add_argument("--reps", type=_count, default=3)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--max-steps", type=int, default=None,
                    help="coordinate-step budget of the node-level fits "

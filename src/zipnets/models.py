@@ -392,27 +392,16 @@ def _optimize_mixture(counts: np.ndarray, rates: np.ndarray, cfg: OptimizerConfi
 
     ``rates`` holds the moment-locked mean counts r_ij, so the Poisson
     rate is r_ij / q and the expected multi-edges match the data for
-    every q. Returns (q_hat, value, iterations, converged).
+    every q. The profile is unimodal on [links/pairs, 1], so one bounded
+    Brent search there, which also scores both ends, finds its maximum.
+    Returns (q_hat, value, iterations, converged).
     """
-    n_pairs = counts.size
-    n_links = int(np.count_nonzero(counts))
-    q_lo = n_links / n_pairs + _EPS_Q
+    q_lo = np.count_nonzero(counts) / counts.size + _EPS_Q
     profile = _mixture_profile(counts, rates)
     if q_lo >= 1.0:
         return 1.0, profile(1.0), 0, True
-
-    # coarse scan guards the golden-section search against flat regions
-    grid = np.linspace(q_lo, 1.0, 33)
-    vals = np.array([profile(q) for q in grid])
-    k = int(np.argmax(vals))
-    lo = grid[max(k - 1, 0)]
-    hi = grid[min(k + 1, len(grid) - 1)]
-    if lo >= hi:
-        lo, hi = q_lo, 1.0
-    res = maximize_scalar_bounded(profile, float(lo), float(hi), cfg)
-    if vals[k] > res.value:
-        return float(grid[k]), float(vals[k]), res.iterations, res.converged
-    return float(res.x), float(res.value), res.iterations, res.converged
+    res = maximize_scalar_bounded(profile, q_lo, 1.0, cfg)
+    return res.x, res.value, res.iterations, res.converged
 
 
 # -- fitting -------------------------------------------------------------------

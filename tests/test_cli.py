@@ -47,6 +47,23 @@ class TestExitCodes:
                      "--out", str(tmp_path / "m.json")])
         assert code == 2
 
+    @pytest.mark.parametrize("flag,what", [("aggregate --input", "input"),
+                                           ("sample --model", "model")])
+    def test_missing_file_is_a_data_error(self, tmp_path, capsys, flag, what):
+        argv = flag.split() + [str(tmp_path / "nope"), "--out", str(tmp_path / "out")]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert f"{what} file not found" in err and "Traceback" not in err
+
+    @pytest.mark.parametrize("argv", [["sample", "--model", "m.json", "-n", "-1"],
+                                      ["bench", "--reps", "-1"],
+                                      ["bench", "--n-range", "10,x"]])
+    def test_bad_counts_are_usage_errors(self, tmp_path, capsys, argv):
+        assert main(argv + ["--out", str(tmp_path / "out")]) == 1
+        err = capsys.readouterr().err
+        assert "expected" in err and "Traceback" not in err
+        assert not (tmp_path / "out").exists()
+
     def test_help_is_success(self):
         assert main(["--help"]) == 0
 

@@ -1351,6 +1351,36 @@ class TestMixtureProfile:
             assert math.isfinite(got)
             assert got == pytest.approx(want, rel=1e-12, abs=1e-12)
 
+    @pytest.mark.parametrize("directed,loops", _SPACES)
+    @settings(max_examples=100, deadline=None)
+    @given(data=st.data())
+    def test_cell_profiles_are_unimodal(self, directed, loops, data):
+        # _optimize_mixture runs one Brent search over [q_lo, 1]; that is
+        # sound only if no cell profile has a second local maximum there
+        n = data.draw(st.integers(3, 12))
+        seed = data.draw(st.integers(0, 10_000))
+        blk = random_blocks(seed, n, data.draw(st.integers(1, min(4, n))))
+        B = blk.n_blocks
+        q_matrix = data.draw(st.lists(st.floats(0.1, 1.0), min_size=B * B, max_size=B * B))
+        g = planted_zi_graph(seed, n, directed=directed, loops=loops, blocks=blk.labels,
+                             q_matrix=np.reshape(q_matrix, (B, B)),
+                             rate=data.draw(st.floats(0.2, 40.0)))
+        lab = blk.as_array()
+        rates = _mean_rate_array(g.space, _decompose_rates(g, blk, block_tallies(g, blk)), lab)
+        counts = g.count_vector()
+        for sel in zipnets.models._block_pair_groups(g.space, lab, B).values():
+            c, r = counts[sel], rates[sel]
+            q_lo = np.count_nonzero(c) / c.size + _EPS_Q
+            if not c.any() or q_lo >= 1.0:
+                continue
+            profile = zipnets.models._mixture_profile(c, r)
+            vals = np.array([profile(q) for q in np.linspace(q_lo, 1.0, 2001)])
+            step = np.diff(vals)
+            flat = np.abs(step) < 1e-12 * np.maximum(np.abs(vals[:-1]), np.abs(vals[1:]))
+            signs = np.sign(step[~flat])
+            # one local maximum: no rise follows a fall
+            assert not np.any((signs[:-1] < 0) & (signs[1:] > 0)), (c.tolist(), r.tolist())
+
     def test_underflowing_zero_pair_at_q_one(self):
         counts = np.array([0, 3, 0, 1])
         rates = np.array([1200.0, 2.5, 0.4, 0.7])
@@ -1377,12 +1407,25 @@ class TestMixtureProfile:
         assert value == pytest.approx(_zip_loglik(counts, np.float64(1.0), rates), rel=1e-15)
 
 
+def _large_reference_case(directed, loops):
+    """An 80-node planted graph with 4 random blocks, and its blocks."""
+    blocks = random_blocks(80, 80, 4)
+    g = planted_zi_graph(80 + 3 * directed + loops, 80, directed=directed, loops=loops,
+                         blocks=blocks.labels, q_matrix=np.linspace(0.1, 0.85, 16).reshape(4, 4),
+                         rate=4.0)
+    return g, blocks
+
+
 class TestMixtureReference:
     @pytest.mark.parametrize("directed,loops", _SPACES)
     @pytest.mark.parametrize("family,empty_cell", [("zi_clcm", False), ("zi_dcsbm", False),
-                                                   ("zi_dcsbm", True)])
+                                                   ("zi_dcsbm", True),
+                                                   pytest.param("zi_dcsbm", None, id="zi_dcsbm-large")])
     def test_matches_full_likelihood_search(self, directed, loops, family, empty_cell):
-        g, blocks = _reference_case(directed, loops, "pair", empty_cell)
+        if empty_cell is None:
+            g, blocks = _large_reference_case(directed, loops)
+        else:
+            g, blocks = _reference_case(directed, loops, "pair", empty_cell)
         blocks = blocks if family == "zi_dcsbm" else None
         got = fit(family, g, blocks)
         with mock.patch.object(zipnets.models, "_optimize_mixture", _reference_optimize_mixture):
