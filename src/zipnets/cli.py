@@ -173,8 +173,9 @@ def _cmd_detect_blocks(args) -> int:
 
 def _cmd_fit(args) -> int:
     g = _load_input(args)
-    assignment, detected = _resolve_blocks(args, g)
-    model = _models.fit(args.family, g, assignment)
+    family = _models.ModelFamily(args.family)
+    assignment, detected = _resolve_blocks(args, g) if family.needs_blocks else (None, False)
+    model = _models.fit(family, g, assignment)
     out = Path(args.out)
     _models.save_model(model, out)
     if detected:
@@ -355,6 +356,13 @@ def _count(text: str) -> int:
     return int(text)
 
 
+def _positive(text: str) -> int:
+    """argparse type: a positive integer."""
+    if not text.isdecimal() or int(text) == 0:
+        raise argparse.ArgumentTypeError(f"expected a positive integer, got {text!r}")
+    return int(text)
+
+
 def _counts(text: str) -> list:
     """argparse type: comma-separated non-negative integers."""
     return [_count(x) for x in text.split(",")]
@@ -398,7 +406,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--family", required=True,
                    choices=[f.value for f in _models.ModelFamily])
     p.add_argument("--blocks", default="single",
-                   help="'single', 'detect', or a blocks file path")
+                   help="'single', 'detect', or a blocks file path; "
+                        "only families with blocks read it")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--resolution", type=float, default=1.0)
     p.add_argument("--out", required=True)
@@ -429,7 +438,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--b-range", type=_counts, default="2,4", help="comma-separated block counts")
     p.add_argument("--reps", type=_count, default=3)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--max-steps", type=int, default=None,
+    p.add_argument("--max-steps", type=_positive, default=None,
                    help="coordinate-step budget of the node-level fits "
                         "(default: max(2000, 20 x free factors))")
     p.add_argument("--out", required=True)

@@ -85,18 +85,34 @@ class ModelFamily(str, Enum):
 
     @property
     def needs_blocks(self) -> bool:
-        return self in (ModelFamily.SBM, ModelFamily.DCSBM, ModelFamily.ZI_SBM,
-                        ModelFamily.ZI_DCSBM, ModelFamily.ZI_DCSBM_NODE)
+        return _KIND[self][2]
 
     @property
     def zero_inflated(self) -> bool:
-        return self.value.startswith("zi_")
+        return _KIND[self][1] is not None
 
     @property
     def has_node_rates(self) -> bool:
-        return self in (ModelFamily.CLCM, ModelFamily.DCSBM, ModelFamily.ZI_CLCM,
-                        ModelFamily.ZI_DCSBM, ModelFamily.ZI_CLCM_NODE,
-                        ModelFamily.ZI_DCSBM_NODE)
+        return _KIND[self][0]
+
+
+# family -> (degree-corrected rates, mixture stage, fitted on blocks). The
+# mixture stage is None for the plain families, "closed" (zi_gnp's closed
+# form per block pair), "profile" (a profile search per block pair) or
+# "node" (node factors by coordinate ascent). A family without blocks is
+# fitted as the family on the same row with blocks, on one block (_fit).
+_KIND = {
+    ModelFamily.GNP: (False, None, False),
+    ModelFamily.SBM: (False, None, True),
+    ModelFamily.CLCM: (True, None, False),
+    ModelFamily.DCSBM: (True, None, True),
+    ModelFamily.ZI_GNP: (False, "closed", False),
+    ModelFamily.ZI_SBM: (False, "closed", True),
+    ModelFamily.ZI_CLCM: (True, "profile", False),
+    ModelFamily.ZI_DCSBM: (True, "profile", True),
+    ModelFamily.ZI_CLCM_NODE: (True, "node", False),
+    ModelFamily.ZI_DCSBM_NODE: (True, "node", True),
+}
 
 
 @dataclass(frozen=True)
@@ -421,8 +437,6 @@ def _require_blocks(family: ModelFamily, blocks: Optional[BlockAssignment], g: M
     if family.needs_blocks:
         if blocks is None:
             raise DataError(f"family {family.value} requires a block assignment")
-        if len(blocks.labels) != g.n_nodes:
-            raise DataError("block assignment length does not match the graph")
         return blocks
     if blocks is not None:
         raise DataError(f"family {family.value} does not take blocks")
@@ -435,61 +449,18 @@ def _check_block_degrees(tall: BlockTallies) -> None:
             raise DataError(f"block {b} has zero degree; cannot fit degree-corrected rates")
 
 
-def fit_poisson(family, g: MultiGraph, blocks: Optional[BlockAssignment] = None) -> FittedModel:
-    """Fit a plain Poisson family (GNP, SBM, CLCM or DCSBM).
-
-    Rate parameters come from the first-moment equations, so all
-    expected totals (multi-edges, block tallies, degrees) reproduce the
-    observations to near machine precision. For clcm and dcsbm on pair
-    spaces without self-loops the degrees come from a per-block fixed
-    point; ``diagnostics["exact_moments"]`` is False if it failed.
-    """
-    family = ModelFamily(family)
-    if family.zero_inflated:
-        raise DataError(f"{family.value} is not a plain family")
-    if g.n_multiedges == 0:
-        raise DataError("cannot fit an empty graph (no multi-edges)")
-    blk = _require_blocks(family, blocks, g)
-    parts = None
-    if family is ModelFamily.GNP:
-        model = FittedModel(family, g.space, node_ids=g.node_ids,
-                            p=g.n_multiedges / g.n_pairs)
-    elif family is ModelFamily.SBM:
-        tall = block_tallies(g, blk)
-        with np.errstate(invalid="ignore", divide="ignore"):
-            lam = np.where(tall.pairs > 0, tall.m / tall.pairs, 0.0)
-        model = FittedModel(family, g.space, node_ids=g.node_ids, blocks=blk,
-                            lambda_blocks=lam)
-    else:
-        tall = block_tallies(g, blk)
-        if family is ModelFamily.DCSBM:
-            _check_block_degrees(tall)
-        parts = _decompose_rates(g, blk, tall)
-        if family is ModelFamily.CLCM:
-            scale = math.sqrt(parts.Lambda[0, 0])
-            theta_out = parts.phi_out * scale
-            theta_in = parts.phi_in * scale if g.directed else theta_out
-            model = FittedModel(family, g.space, node_ids=g.node_ids,
-                                theta_out=theta_out, theta_in=theta_in,
-                                constraint={"type": "theta_sum", "values": [scale]})
-        else:
-            model = FittedModel(family, g.space, node_ids=g.node_ids, blocks=blk,
-                                theta_out=parts.phi_out,
-                                theta_in=parts.phi_in if g.directed else parts.phi_out,
-                                lambda_blocks=parts.Lambda,
-                                constraint={"type": "block_theta_sum",
-                                            "values": [1.0] * blk.n_blocks})
-    model.diagnostics.update(_base_diag(g, parts))
-    model.diagnostics["loglik"] = log_likelihood(model, g)
-    return model
+def _over(x: np.ndarray, q: np.ndarray) -> np.ndarray:
+    """x / q where q > 0, else 0."""
+    return np.where(q > 0, x / np.where(q > 0, q, 1.0), 0.0)
 
 
 def _zignp_closed_form(m: float, M: float, P: float) -> tuple:
     """Mixture and rate solving E[m] = m and E[links] = M on P pairs.
 
-    Returns (q, p, fallback_reason). Binary counts (m == M) and data
+    Returns (q, lambda, fallback_reason). Binary counts (m == M) and data
     denser than the Poisson saturation bound collapse to the plain
-    Poisson boundary q = 1.
+    Poisson boundary q = 1. Otherwise both moment equations must hold at
+    the solution to 1e-9 relative, or NumericalError is raised.
     """
     if M == 0:
         raise DataError("no links; cannot fit a zero-inflated model")
@@ -511,69 +482,11 @@ def _zignp_closed_form(m: float, M: float, P: float) -> tuple:
         # this mean; the constrained optimum sits on the plain boundary
         return 1.0, m / P, "dense-boundary"
     q = min(q, 1.0)
-    return q, m / (P * q), None
-
-
-def fit_zi_gnp(g: MultiGraph) -> FittedModel:
-    """Closed-form fit of the zero-inflated G(N,p) model."""
-    m = g.n_multiedges
-    M = g.n_links
-    P = g.n_pairs
-    if m == 0:
-        raise DataError("cannot fit an empty graph (no multi-edges)")
-    q, p, fallback = _zignp_closed_form(float(m), float(M), float(P))
-    model = FittedModel(ModelFamily.ZI_GNP, g.space, node_ids=g.node_ids,
-                        p=p, q_global=q)
-    model.diagnostics.update(_base_diag(g, None))
-    if fallback:
-        model.diagnostics["fallback"] = fallback
-    else:
-        # both moment equations must hold at the solution
-        em = q * p * P
-        eM = q * P * (1.0 - math.exp(-p))
-        if abs(em - m) > 1e-9 * m or abs(eM - M) > 1e-9 * M:
-            raise NumericalError(f"moment equations violated: E[m]={em} vs {m}, E[M]={eM} vs {M}")
-    model.diagnostics["loglik"] = log_likelihood(model, g)
-    return model
-
-
-def fit_zi_sbm(g: MultiGraph, blocks: BlockAssignment) -> FittedModel:
-    """Per-block-pair closed-form fit of the zero-inflated SBM.
-
-    Each block pair is an independent zi-G(N,p) problem on its own
-    pairs. Degenerate cells get conventions instead of errors:
-    empty cells (q, lambda) = (0, 0), binary or over-dense cells the
-    plain boundary q = 1.
-    """
-    blk = _require_blocks(ModelFamily.ZI_SBM, blocks, g)
-    if g.n_multiedges == 0:
-        raise DataError("cannot fit an empty graph (no multi-edges)")
-    tall = block_tallies(g, blk)
-    B = blk.n_blocks
-    qmat = np.zeros((B, B))
-    lmat = np.zeros((B, B))
-    fallbacks = 0
-    for b in range(B):
-        for d in range(B):
-            if not g.directed and d < b:
-                qmat[b, d] = qmat[d, b]
-                lmat[b, d] = lmat[d, b]
-                continue
-            mbd = float(tall.m[b, d])
-            if mbd == 0.0:
-                continue
-            q, lam_bd, fb = _zignp_closed_form(mbd, float(tall.links[b, d]), float(tall.pairs[b, d]))
-            if fb:
-                fallbacks += 1
-            qmat[b, d] = q
-            lmat[b, d] = lam_bd
-    model = FittedModel(ModelFamily.ZI_SBM, g.space, node_ids=g.node_ids, blocks=blk,
-                        q_blocks=qmat, lambda_blocks=lmat)
-    model.diagnostics.update(_base_diag(g, None))
-    if fallbacks:
-        model.diagnostics["block_fallbacks"] = fallbacks
-    model.diagnostics["loglik"] = log_likelihood(model, g)
-    return model
+    lam = m / (P * q)
+    em, eM = q * lam * P, q * P * (1.0 - math.exp(-lam))
+    if abs(em - m) > 1e-9 * m or abs(eM - M) > 1e-9 * M:
+        raise NumericalError(f"moment equations violated: E[m]={em} vs {m}, E[M]={eM} vs {M}")
+    return q, lam, None
 
 
 def _block_pair_groups(space: PairSpace, lab: np.ndarray, B: int) -> dict:
@@ -590,36 +503,125 @@ def _block_pair_groups(space: PairSpace, lab: np.ndarray, B: int) -> dict:
     return {divmod(int(code[k]), B): sel for k, sel in zip(np.r_[0, starts], np.split(order, starts))}
 
 
-def _fit_cell_mixtures(g: MultiGraph, blk: BlockAssignment, cfg: Optional[OptimizerConfig]) -> tuple:
-    """Moment-locked rates, then each block pair's mixture weight by its own
-    one-dimensional profile likelihood; empty block pairs keep q = 0 and
-    add log 1 = 0 per pair. Returns (rate parts, q matrix, diagnostics)."""
+def _fit(family: ModelFamily, g: MultiGraph, blocks: Optional[BlockAssignment],
+         cfg: Optional[OptimizerConfig] = None, constraints=None) -> FittedModel:
+    """Fit any family as its block form (_KIND).
+
+    Block tallies come first, then each block pair's rates: the pair mean
+    m_bd / P_bd, or the moment-locked phi_out phi_in Lambda. The mixture
+    stage fits q per block pair, by zi_gnp's closed form or a profile
+    search (empty pairs keep q = 0), or as node factors; lambda is then
+    Lambda / q, over the constraint vector's outer product. A family
+    without blocks is its block form on one block, with the fitted 1x1
+    lambda folded into p or into theta = phi sqrt(lambda).
+    """
+    corrected, mixture, on_blocks = _KIND[family]
+    blk = _require_blocks(family, blocks, g)
+    tall = block_tallies(g, blk)
     if g.n_multiedges == 0:
         raise DataError("cannot fit an empty graph (no multi-edges)")
-    cfg = cfg or OptimizerConfig()
-    tall = block_tallies(g, blk)
-    _check_block_degrees(tall)
-    B = blk.n_blocks
-    lab = blk.as_array()
-    parts = _decompose_rates(g, blk, tall)
-    rates = _mean_rate_array(g.space, parts, lab)
-    counts = g.count_vector()
-    qmat = np.zeros((B, B))
+    B, lab = blk.n_blocks, blk.as_array()
+    cvec = _constraint_vector(constraints, B)
+    parts = None
+    if corrected:
+        _check_block_degrees(tall)
+        parts = _decompose_rates(g, blk, tall)
     diag = _base_diag(g, parts)
-    loglik = 0.0
-    for (b, d), sel in sorted(_block_pair_groups(g.space, lab, B).items()):
-        sub_counts = counts[sel]
-        if not np.any(sub_counts):
-            continue
-        q, value, iters, ok = _optimize_mixture(sub_counts, rates[sel], cfg)
-        qmat[b, d] = q
+    # the block pairs with multi-edges, b <= d when undirected
+    cells = [(b, d) for b in range(B) for d in range(0 if g.directed else b, B) if tall.m[b, d] > 0]
+    rows, cols = np.array(cells).T
+
+    def by_cell(values) -> np.ndarray:
+        mat = np.zeros((B, B))
+        mat[rows, cols] = values
         if not g.directed:
-            qmat[d, b] = q
-        diag["iterations"] += iters
-        diag["converged"] = diag["converged"] and ok
-        loglik += value
-    diag["loglik"] = loglik
-    return parts, qmat, diag
+            mat[cols, rows] = values
+        return mat
+
+    qmat, q_out, q_in = np.ones((B, B)), None, None
+    if mixture == "closed":
+        qs, lams, reasons = zip(*(_zignp_closed_form(float(tall.m[c]), float(tall.links[c]),
+                                                     float(tall.pairs[c])) for c in cells))
+        qmat, lam = by_cell(qs), by_cell(lams)
+        fallbacks = [r for r in reasons if r]
+        if fallbacks and on_blocks:
+            diag["block_fallbacks"] = len(fallbacks)
+        elif fallbacks:
+            diag["fallback"] = fallbacks[0]
+    else:
+        if mixture == "profile":
+            rates, counts = _mean_rate_array(g.space, parts, lab), g.count_vector()
+            groups, cfg = _block_pair_groups(g.space, lab, B), cfg or OptimizerConfig()
+            qs, values, iters, oks = zip(*(_optimize_mixture(counts[groups[c]], rates[groups[c]], cfg)
+                                           for c in cells))
+            qmat = by_cell(qs)
+            diag.update(iterations=sum(iters), converged=all(oks), loglik=sum(values))
+            if on_blocks:
+                diag["n_mixture_problems"] = B * B if g.directed else B * (B + 1) // 2
+        elif mixture == "node":
+            q_out, q_in, qmat = _fit_node_factors(g, lab, parts, cells if on_blocks else [], cfg, diag)
+            # block cells with no activity get q = 0 so sampling stays consistent
+            qmat = np.where(tall.m > 0, qmat, 0.0)
+        with np.errstate(invalid="ignore", divide="ignore"):
+            Lambda = parts.Lambda if corrected else np.where(tall.pairs > 0, tall.m / tall.pairs, 0.0)
+        lam = _over(Lambda, qmat) / np.outer(cvec, cvec)
+
+    theta_out = theta_in = None
+    constraint = {}
+    if corrected:
+        scale = cvec[lab] if on_blocks else math.sqrt(lam[0, 0])
+        theta_out, theta_in = parts.phi_out * scale, parts.phi_in * scale
+        if q_out is not None:  # divided last: theta = (phi scale) / q
+            theta_out, theta_in = _over(theta_out, q_out), _over(theta_in, q_in)
+        if not g.directed:
+            theta_in = theta_out
+        effective = "_effective" if mixture == "node" else ""
+        constraint = {"type": ("block_theta_sum" if on_blocks else "theta_sum") + effective,
+                      "values": list(map(float, cvec)) if on_blocks else [scale]}
+        if on_blocks and mixture == "node":
+            constraint["block_q"] = "pair"
+    folded = not on_blocks
+    model = FittedModel(
+        family, g.space, node_ids=g.node_ids, blocks=None if folded else blk,
+        p=float(lam[0, 0]) if folded and not corrected else None,
+        lambda_blocks=None if folded else lam, theta_out=theta_out, theta_in=theta_in,
+        q_global=float(qmat[0, 0]) if folded and mixture in ("closed", "profile") else None,
+        q_blocks=qmat if on_blocks and mixture else None, q_nodes_out=q_out, q_nodes_in=q_in,
+        constraint=constraint, diagnostics=diag)
+    if "loglik" not in diag:
+        diag["loglik"] = log_likelihood(model, g)
+    return model
+
+
+def fit_poisson(family, g: MultiGraph, blocks: Optional[BlockAssignment] = None) -> FittedModel:
+    """Fit a plain Poisson family (GNP, SBM, CLCM or DCSBM).
+
+    Rate parameters come from the first-moment equations, so all
+    expected totals (multi-edges, block tallies, degrees) reproduce the
+    observations to near machine precision. For clcm and dcsbm on pair
+    spaces without self-loops the degrees come from a per-block fixed
+    point; ``diagnostics["exact_moments"]`` is False if it failed.
+    """
+    family = ModelFamily(family)
+    if family.zero_inflated:
+        raise DataError(f"{family.value} is not a plain family")
+    return _fit(family, g, blocks)
+
+
+def fit_zi_gnp(g: MultiGraph) -> FittedModel:
+    """Closed-form fit of the zero-inflated G(N,p) model: zi_sbm on one block."""
+    return _fit(ModelFamily.ZI_GNP, g, None)
+
+
+def fit_zi_sbm(g: MultiGraph, blocks: BlockAssignment) -> FittedModel:
+    """Per-block-pair closed-form fit of the zero-inflated SBM.
+
+    Each block pair is an independent zi-G(N,p) problem on its own
+    pairs. Degenerate cells get conventions instead of errors:
+    empty cells (q, lambda) = (0, 0), binary or over-dense cells the
+    plain boundary q = 1.
+    """
+    return _fit(ModelFamily.ZI_SBM, g, blocks)
 
 
 def fit_zi_clcm(g: MultiGraph, cfg: Optional[OptimizerConfig] = None) -> FittedModel:
@@ -630,14 +632,7 @@ def fit_zi_clcm(g: MultiGraph, cfg: Optional[OptimizerConfig] = None) -> FittedM
     equations; the single mixture weight maximizes the resulting
     profile log-likelihood over (M/P, 1].
     """
-    parts, qmat, diag = _fit_cell_mixtures(g, single_block(g.n_nodes), cfg)
-    q = qmat[0, 0]
-    scale = math.sqrt(parts.Lambda[0, 0] / q)
-    theta_out = parts.phi_out * scale
-    theta_in = parts.phi_in * scale if g.directed else theta_out
-    return FittedModel(ModelFamily.ZI_CLCM, g.space, node_ids=g.node_ids,
-                       theta_out=theta_out, theta_in=theta_in, q_global=q,
-                       constraint={"type": "theta_sum", "values": [scale]}, diagnostics=diag)
+    return _fit(ModelFamily.ZI_CLCM, g, None, cfg)
 
 
 def fit_zi_dcsbm(g: MultiGraph, blocks: BlockAssignment,
@@ -650,22 +645,7 @@ def fit_zi_dcsbm(g: MultiGraph, blocks: BlockAssignment,
     1). Each block pair's mixture weight is then an independent
     one-dimensional profile-likelihood problem.
     """
-    blk = _require_blocks(ModelFamily.ZI_DCSBM, blocks, g)
-    parts, qmat, diag = _fit_cell_mixtures(g, blk, cfg)
-    B = blk.n_blocks
-    lab = blk.as_array()
-    cvec = _constraint_vector(constraints, B)
-    with np.errstate(invalid="ignore", divide="ignore"):
-        lam = np.where(qmat > 0, parts.Lambda / qmat, 0.0)
-    lam = lam / np.outer(cvec, cvec)
-    theta_out = parts.phi_out * cvec[lab]
-    theta_in = (parts.phi_in * cvec[lab]) if g.directed else theta_out
-    diag["n_mixture_problems"] = B * B if g.directed else B * (B + 1) // 2
-    return FittedModel(ModelFamily.ZI_DCSBM, g.space, node_ids=g.node_ids, blocks=blk,
-                       theta_out=theta_out, theta_in=theta_in,
-                       lambda_blocks=lam, q_blocks=qmat,
-                       constraint={"type": "block_theta_sum", "values": list(map(float, cvec))},
-                       diagnostics=diag)
+    return _fit(ModelFamily.ZI_DCSBM, g, blocks, cfg, constraints)
 
 
 def _constraint_vector(constraints, B: int) -> np.ndarray:
@@ -724,9 +704,7 @@ class _NodeMixture:
         qf = self.factors(x)
         so, si, sc = self.slots
         q = qf[so] * qf[si] * qf[sc]
-        with np.errstate(invalid="ignore", divide="ignore"):
-            lam = np.where(q > 0, self.rates / np.where(q > 0, q, 1.0), 0.0)
-        return _zip_loglik(self.counts, q, lam)
+        return _zip_loglik(self.counts, q, _over(self.rates, q))
 
     def coordinate(self, x: np.ndarray, k: int):
         """The log-likelihood along x[k], up to a constant."""
@@ -742,6 +720,48 @@ class _NodeMixture:
             return s1 * math.log(v) - s2 / v + float(_log_p0(q, r0 / q).sum())
 
         return along
+
+
+def _fit_node_factors(g: MultiGraph, lab: np.ndarray, parts: _RateParts, cells: list,
+                      cfg: Optional[OptimizerConfig], diag: dict) -> tuple:
+    """The node-level mixture factors by coordinate ascent (fit_zi_node_level).
+
+    The free factors are the node factors of the nodes with positive
+    degree and one factor per block pair in ``cells``. Returns (q_out,
+    q_in, Q) and records the ascent in ``diag``.
+    """
+    B = len(parts.Lambda)
+    rates = _mean_rate_array(g.space, parts, lab)
+    ii, jj = g.space.pair_indices()
+    kout, kin = degrees(g)
+    out_free = np.where(kout > 0)[0]
+    in_free = np.where(kin > 0)[0] if g.directed else np.array([], dtype=np.int64)
+    n_params = len(out_free) + len(in_free) + len(cells)
+    cfg = cfg or OptimizerConfig(max_iterations=max(2000, 20 * n_params))
+    # slot of each factor in the vector [x, 1, 0]: fixed block factors
+    # are 1, the node factors of zero-degree nodes 0
+    one, zero = n_params, n_params + 1
+    slot_out = np.full(g.n_nodes, zero)
+    slot_out[out_free] = np.arange(len(out_free))
+    if g.directed:
+        slot_in = np.full(g.n_nodes, zero)
+        slot_in[in_free] = len(out_free) + np.arange(len(in_free))
+    else:
+        slot_in = slot_out
+    slot_cell = np.full((B, B), one)
+    base = len(out_free) + len(in_free)
+    for k, (b, d) in enumerate(cells):
+        slot_cell[b, d] = base + k
+        if not g.directed:
+            slot_cell[d, b] = base + k
+    mix = _NodeMixture(g.count_vector(), rates,
+                       (slot_out[ii], slot_in[jj], slot_cell[lab[ii], lab[jj]]), n_params)
+    res = maximize_box_constrained(mix.loglik, np.ones(n_params), np.full(n_params, 1e-6),
+                                   np.ones(n_params), cfg, coordinate=mix.coordinate)
+    diag.update(iterations=res.iterations, converged=res.converged,
+                n_free_parameters=n_params, loglik=res.value)
+    qf = mix.factors(res.x)
+    return qf[slot_out], qf[slot_in], qf[slot_cell]
 
 
 def fit_zi_node_level(g: MultiGraph, blocks: Optional[BlockAssignment] = None,
@@ -762,88 +782,8 @@ def fit_zi_node_level(g: MultiGraph, blocks: Optional[BlockAssignment] = None,
     coordinate steps. ``diagnostics["loglik"]`` is the full log-likelihood
     at the result.
     """
-    if g.n_multiedges == 0:
-        raise DataError("cannot fit an empty graph (no multi-edges)")
-    family = ModelFamily.ZI_DCSBM_NODE if blocks is not None else ModelFamily.ZI_CLCM_NODE
-    blk = blocks if blocks is not None else single_block(g.n_nodes)
-    if blocks is not None and len(blk.labels) != g.n_nodes:
-        raise DataError("block assignment length does not match the graph")
-    tall = block_tallies(g, blk)
-    if family is ModelFamily.ZI_DCSBM_NODE:
-        _check_block_degrees(tall)
-    B = blk.n_blocks
-    lab = blk.as_array()
-    parts = _decompose_rates(g, blk, tall)
-    rates = _mean_rate_array(g.space, parts, lab)
-    counts = g.count_vector()
-    ii, jj = g.space.pair_indices()
-    kout, kin = degrees(g)
-
-    # free parameters: node factors for nodes with positive degree,
-    # plus block factors for non-empty block pairs
-    out_free = np.where(kout > 0)[0]
-    in_free = np.where(kin > 0)[0] if g.directed else np.array([], dtype=np.int64)
-    cells = [] if blocks is None else [
-        (b, d) for b in range(B) for d in range(0 if g.directed else b, B) if tall.m[b, d] > 0]
-
-    n_params = len(out_free) + len(in_free) + len(cells)
-    cfg = cfg or OptimizerConfig(max_iterations=max(2000, 20 * n_params))
-    # slot of each factor in the vector [x, 1, 0]: fixed block factors
-    # are 1, the node factors of zero-degree nodes 0
-    one, zero = n_params, n_params + 1
-    slot_out = np.full(g.n_nodes, zero)
-    slot_out[out_free] = np.arange(len(out_free))
-    if g.directed:
-        slot_in = np.full(g.n_nodes, zero)
-        slot_in[in_free] = len(out_free) + np.arange(len(in_free))
-    else:
-        slot_in = slot_out
-    slot_cell = np.full((B, B), one)
-    base = len(out_free) + len(in_free)
-    for k, (b, d) in enumerate(cells):
-        slot_cell[b, d] = base + k
-        if not g.directed:
-            slot_cell[d, b] = base + k
-    mix = _NodeMixture(counts, rates, (slot_out[ii], slot_in[jj], slot_cell[lab[ii], lab[jj]]),
-                      n_params)
-
-    x0 = np.ones(n_params)
-    lower = np.full(n_params, 1e-6)
-    upper = np.ones(n_params)
-    res = maximize_box_constrained(mix.loglik, x0, lower, upper, cfg, coordinate=mix.coordinate)
-    qf = mix.factors(res.x)
-    q_out, q_in, qmat = qf[slot_out], qf[slot_in], qf[slot_cell]
-    if blocks is not None:
-        # zero out block cells with no activity so sampling stays consistent
-        qmat = np.where(tall.m > 0, qmat, 0.0)
-
-    scale = math.sqrt(parts.Lambda[0, 0]) if blocks is None else 1.0
-    with np.errstate(invalid="ignore", divide="ignore"):
-        theta_out = np.where(q_out > 0, parts.phi_out * scale / np.where(q_out > 0, q_out, 1.0), 0.0)
-        if g.directed:
-            theta_in = np.where(q_in > 0, parts.phi_in * scale / np.where(q_in > 0, q_in, 1.0), 0.0)
-        else:
-            theta_in = theta_out
-    if blocks is None:
-        model = FittedModel(family, g.space, node_ids=g.node_ids,
-                            theta_out=theta_out, theta_in=theta_in,
-                            q_nodes_out=q_out, q_nodes_in=q_in,
-                            constraint={"type": "theta_sum_effective", "values": [scale]})
-    else:
-        with np.errstate(invalid="ignore", divide="ignore"):
-            lam = np.where(qmat > 0, parts.Lambda / qmat, 0.0)
-        model = FittedModel(family, g.space, node_ids=g.node_ids, blocks=blk,
-                            theta_out=theta_out, theta_in=theta_in,
-                            lambda_blocks=lam, q_blocks=qmat,
-                            q_nodes_out=q_out, q_nodes_in=q_in,
-                            constraint={"type": "block_theta_sum_effective",
-                                        "values": [1.0] * B, "block_q": "pair"})
-    model.diagnostics.update(_base_diag(g, parts))
-    model.diagnostics["iterations"] = res.iterations
-    model.diagnostics["converged"] = res.converged
-    model.diagnostics["n_free_parameters"] = n_params
-    model.diagnostics["loglik"] = res.value
-    return model
+    family = ModelFamily.ZI_CLCM_NODE if blocks is None else ModelFamily.ZI_DCSBM_NODE
+    return _fit(family, g, blocks, cfg)
 
 
 # family -> fitter(g, blocks, cfg); blocks is None for families without blocks
@@ -873,7 +813,7 @@ def fit(family, g: MultiGraph, blocks: Optional[BlockAssignment] = None,
     family = ModelFamily(family)
     if not family.needs_blocks:
         blocks = None
-    elif blocks is None:
+    elif blocks is None:  # else fit_zi_node_level(g, None) fits zi_clcm_node
         raise DataError(f"family {family.value} requires a block assignment")
     return _FITTERS[family](g, blocks, cfg)
 
@@ -971,12 +911,18 @@ def model_from_json(obj: dict) -> FittedModel:
     """The model a JSON object describes. Its non-null parameter fields
     must be exactly its family's (_MODEL_FIELDS), with theta and q_nodes
     of length N, lambda and q_blocks B x B, blocks of length N, finite
-    non-negative values and mixture weights at most 1; anything else
-    raises DataError."""
+    non-negative numbers (not strings or booleans) and mixture weights at
+    most 1; anything else raises DataError. Parameters are stored as
+    floats."""
     try:
         return _model_from_json(obj)
     except (KeyError, TypeError, ValueError) as exc:
         raise DataError(f"invalid model JSON: {exc}") from None
+
+
+def _is_number(v) -> bool:
+    """A JSON number, or nested lists of them; booleans and strings are not."""
+    return all(map(_is_number, v)) if isinstance(v, list) else type(v) in (int, float)
 
 
 def _model_from_json(obj: dict) -> FittedModel:
@@ -1001,6 +947,9 @@ def _model_from_json(obj: dict) -> FittedModel:
     pairs = [(k, obj[k]) for k in sorted(given - {"blocks", "q_nodes"})]
     if "q_nodes" in given:
         pairs += [("q_out", obj["q_nodes"]["out"]), ("q_in", obj["q_nodes"]["in"])]
+    for k, v in pairs:
+        if not _is_number(v):
+            raise DataError(f"invalid model JSON: {k} must hold numbers only")
     par = {k: np.asarray(v, dtype=np.float64) for k, v in pairs}
     for k, v in par.items():
         shape = {"p": (), "q": (), "lambda": (B, B), "q_blocks": (B, B)}.get(k, (n,))
@@ -1015,11 +964,11 @@ def _model_from_json(obj: dict) -> FittedModel:
         space=space,
         node_ids=tuple(obj["node_ids"]) if obj.get("node_ids") else None,
         blocks=blocks,
-        p=obj.get("p"),
+        p=float(par["p"]) if "p" in par else None,
         lambda_blocks=par.get("lambda"),
         theta_out=par.get("theta_out"),
         theta_in=par.get("theta_out" if tie else "theta_in"),
-        q_global=obj.get("q"),
+        q_global=float(par["q"]) if "q" in par else None,
         q_blocks=par.get("q_blocks"),
         q_nodes_out=par.get("q_out"),
         q_nodes_in=par.get("q_out" if tie else "q_in"),

@@ -57,7 +57,8 @@ class TestExitCodes:
 
     @pytest.mark.parametrize("argv", [["sample", "--model", "m.json", "-n", "-1"],
                                       ["bench", "--reps", "-1"],
-                                      ["bench", "--n-range", "10,x"]])
+                                      ["bench", "--n-range", "10,x"],
+                                      ["bench", "--max-steps", "0"]])
     def test_bad_counts_are_usage_errors(self, tmp_path, capsys, argv):
         assert main(argv + ["--out", str(tmp_path / "out")]) == 1
         err = capsys.readouterr().err
@@ -130,6 +131,14 @@ class TestFit:
         blocks_path = tmp_path / "model.blocks.txt"
         assert blocks_path.exists()
         assert len(blocks_path.read_text().strip().splitlines()) == 18
+
+    def test_family_without_blocks_ignores_detect(self, graph_file, tmp_path, capsys):
+        out = tmp_path / "gnp.json"
+        assert main(["fit", "--input", str(graph_file), "--family", "gnp",
+                     "--blocks", "detect", "--seed", "7", "--out", str(out)]) == 0
+        assert not (tmp_path / "gnp.blocks.txt").exists()
+        assert "blocks written" not in capsys.readouterr().out
+        assert json.loads(out.read_text())["blocks"] is None
 
     def test_summary_reports_exact_moments(self, graph_file, tmp_path, capsys):
         assert main(["fit", "--input", str(graph_file), "--family", "dcsbm",

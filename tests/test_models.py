@@ -300,11 +300,14 @@ def _zisbm_block_oracle(m, M, P):
 
 class TestFitZiSbm:
     def test_single_block_reduces_to_gnp(self):
-        g = planted_zi_graph(2, 15, directed=True, loops=True, q=0.5, rate=4.0)
-        ref = fit_zi_gnp(g)
-        model = fit_zi_sbm(g, single_block(15))
-        assert model.q_blocks[0, 0] == pytest.approx(ref.q_global, rel=1e-12)
-        assert model.lambda_blocks[0, 0] == pytest.approx(ref.p, rel=1e-12)
+        # gnp and zi_gnp are sbm and zi_sbm fitted on one block, bit for bit
+        for k, (directed, loops) in enumerate(_SPACES):
+            for q in (0.3, 0.7):
+                g = planted_zi_graph(2 + k, 15, directed=directed, loops=loops, q=q, rate=4.0)
+                one = single_block(15)
+                assert fit_poisson("gnp", g).p == fit_poisson("sbm", g, one).lambda_blocks[0, 0]
+                ref, model = fit_zi_gnp(g), fit_zi_sbm(g, one)
+                assert (ref.p, ref.q_global) == (model.lambda_blocks[0, 0], model.q_blocks[0, 0])
 
     def test_empty_block_pair_convention(self):
         g = MultiGraph(list("abcd"), {(0, 1): 4, (2, 3): 5}, directed=False, loops=False)
@@ -401,7 +404,7 @@ class TestFitZiClcm:
 
 class TestFitZiDcsbm:
     def test_single_block_reduces_to_clcm(self):
-        for directed, loops in [(True, True), (False, False)]:
+        for directed, loops in _SPACES:
             g = planted_zi_graph(12, 20, directed=directed, loops=loops, q=0.5, rate=4.0)
             clcm = fit_zi_clcm(g)
             dcsbm = fit_zi_dcsbm(g, single_block(20))
@@ -409,6 +412,14 @@ class TestFitZiDcsbm:
             qd, ld = _pair_arrays(dcsbm)
             assert np.allclose(lc, ld, rtol=1e-8)
             assert np.allclose(qc, qd, rtol=1e-10)
+            # clcm and zi_clcm are dcsbm and zi_dcsbm on one block with the
+            # 1x1 lambda folded into theta, bit for bit
+            assert clcm.q_global == dcsbm.q_blocks[0, 0]
+            pairs = [(clcm, dcsbm), (fit_poisson("clcm", g), fit_poisson("dcsbm", g, single_block(20)))]
+            for folded, block in pairs:
+                scale = math.sqrt(block.lambda_blocks[0, 0])
+                assert np.array_equal(folded.theta_out, block.theta_out * scale)
+                assert np.array_equal(folded.theta_in, block.theta_in * scale)
 
     def test_dense_poisson_collapse(self):
         # saturated Poisson data leaves no room for zero-inflation
@@ -895,13 +906,23 @@ class TestModelJsonValidation:
                     model_from_json(dict(obj, **{key: value}))
 
     @pytest.mark.parametrize("key,value", [("theta_out", -1.0), ("lambda", float("nan")),
-                                           ("q_blocks", 1.5), ("theta_in", float("inf"))])
+                                           ("q_blocks", 1.5), ("theta_in", float("inf")),
+                                           ("p", "2.85"), ("q", True), ("p", False),
+                                           ("lambda", "1.0"), ("theta_out", True),
+                                           ("q_blocks", None)])
     def test_values_out_of_range(self, key, value):
-        obj = json.loads(_fitted_json("zi_dcsbm"))
-        bad = np.array(obj[key])
+        # strings and booleans used to be kept raw and written back out
+        obj = json.loads(_fitted_json("zi_gnp" if key in ("p", "q") else "zi_dcsbm"))
+        bad = np.array(obj[key], dtype=object)
         bad.flat[0] = value
         with pytest.raises(DataError, match="invalid model JSON"):
             model_from_json(dict(obj, **{key: bad.tolist()}))
+
+    def test_scalars_are_stored_as_floats(self):
+        obj = json.loads(_fitted_json("zi_gnp"))
+        model = model_from_json(dict(obj, p=3, q=1))
+        assert (type(model.p), type(model.q_global)) == (float, float)
+        assert (model_to_json(model)["p"], model_to_json(model)["q"]) == (3.0, 1.0)
 
     @pytest.mark.parametrize("long", [False, True])
     def test_node_ids_one_per_node(self, long):
