@@ -14,9 +14,7 @@ import hashlib
 import json
 import sys
 import time
-from dataclasses import dataclass, is_dataclass, asdict
 from pathlib import Path
-from typing import Optional
 
 import numpy as np
 
@@ -39,24 +37,7 @@ from .multigraph import (
 )
 from .numerics import OptimizerConfig
 
-__all__ = ["main", "RunConfig"]
-
-
-@dataclass
-class RunConfig:
-    """Resolved options shared by the fitting and reporting commands."""
-
-    input: str
-    format: str = "graph-json"
-    directed: bool = False
-    loops: bool = False
-    family: Optional[str] = None
-    blocks: str = "single"
-    seed: int = 0
-    n_realizations: int = 200
-    binning: str = "geometric"
-    out: Optional[str] = None
-    resolution: float = 1.0
+__all__ = ["main"]
 
 
 class _Parser(argparse.ArgumentParser):
@@ -65,23 +46,9 @@ class _Parser(argparse.ArgumentParser):
         self.exit(1, f"{self.prog}: error: {message}\n")
 
 
-def _jsonable(obj):
-    if isinstance(obj, dict):
-        return {k: _jsonable(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_jsonable(v) for v in obj]
-    if isinstance(obj, np.ndarray):
-        return [_jsonable(v) for v in obj.tolist()]
-    if isinstance(obj, (np.floating, np.integer)):
-        return obj.item()
-    if is_dataclass(obj) and not isinstance(obj, type):
-        return _jsonable(asdict(obj))
-    return obj
-
-
 def _dump_json(obj, path) -> None:
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(_jsonable(obj), fh, indent=2, sort_keys=True)
+        json.dump(obj, fh, indent=2, sort_keys=True)
         fh.write("\n")
 
 
@@ -250,20 +217,21 @@ def _cmd_report(args) -> int:
             "family": model.family.value,
             "loglik": _models.log_likelihood(model, g),
             "chi_squared": {"statistic": stat, "bins": nbins},
-            "cumulative_error": _metrics.cumulative_error(emp, hist),
+            "cumulative_error": _metrics.cumulative_error(emp, hist).tolist(),
         }
 
     # out is omitted: report bytes depend only on (inputs, seed)
-    config = RunConfig(input=str(args.input), format=args.format,
-                       seed=args.seed, n_realizations=args.realizations,
-                       binning=args.binning)
+    config = {"input": str(args.input), "format": args.format, "directed": g.directed,
+              "loops": g.loops_allowed, "family": None, "blocks": "single", "seed": args.seed,
+              "n_realizations": args.realizations, "binning": args.binning, "out": None,
+              "resolution": 1.0}
     report = {
         "version": __version__,
-        "config": asdict(config),
+        "config": config,
         "graph": {"n_nodes": s.n_nodes, "links": s.n_links, "multiedges": s.n_multiedges,
                   "density": s.density, "multiedge_density": s.multiedge_density,
                   "excess_kurtosis": s.excess_kurtosis},
-        "bins": emp.lowers,
+        "bins": emp.lowers.tolist(),
         "models": {"a": model_block(model_a, hist_a)},
     }
     if model_b is not None:

@@ -52,7 +52,6 @@ class CountHistogram:
 
     lowers: np.ndarray
     mass: np.ndarray
-    source: str = "empirical"
 
     def __post_init__(self):
         lowers = np.asarray(self.lowers, dtype=np.int64)
@@ -67,9 +66,6 @@ class CountHistogram:
             raise DataError("boundaries and masses disagree in length")
         if np.any(mass < -1e-12) or abs(mass.sum() - 1.0) > 1e-9:
             raise DataError("masses must be non-negative and sum to 1")
-
-    def n_bins(self) -> int:
-        return len(self.lowers)
 
     def bin_ranges(self) -> list:
         """Inclusive (lo, hi) per bin, hi = None for the open tail."""
@@ -123,7 +119,7 @@ def edge_count_histogram(g: MultiGraph, policy: str = "geometric",
         lowers = bin_lowers(int(counts.max(initial=0)), policy)
     idx = np.searchsorted(lowers, counts, side="right") - 1
     mass = np.bincount(idx, minlength=len(lowers)).astype(np.float64) / counts.size
-    return CountHistogram(lowers=lowers, mass=mass, source="empirical")
+    return CountHistogram(lowers=lowers, mass=mass)
 
 
 def _model_cdf_at(model, x: np.ndarray) -> np.ndarray:
@@ -159,7 +155,7 @@ def model_count_histogram(model, lowers: np.ndarray) -> CountHistogram:
     mass[:-1] = np.diff(cdf)
     mass[-1] = 1.0 - cdf[-1]
     mass = np.clip(mass, 0.0, None)
-    return CountHistogram(lowers=lowers, mass=mass, source="model-expected")
+    return CountHistogram(lowers=lowers, mass=mass)
 
 
 def cumulative_error(empirical: CountHistogram, model: CountHistogram) -> np.ndarray:
@@ -273,7 +269,7 @@ def spectral_gap_info(g: MultiGraph) -> tuple:
     deg = sub.sum(axis=1)
     inv_sqrt = 1.0 / np.sqrt(deg)
     lap = np.eye(len(giant)) - inv_sqrt[:, None] * sub * inv_sqrt[None, :]
-    gap = second_smallest_eigenvalue(lap, symmetric_hint=True)
+    gap = second_smallest_eigenvalue(lap)
     return gap, len(giant) / g.n_nodes
 
 

@@ -122,13 +122,6 @@ class PairLaw:
     q: float
     lam: float
 
-    @property
-    def mean(self) -> float:
-        return self.q * self.lam
-
-    def p_zero(self) -> float:
-        return (1.0 - self.q) + self.q * math.exp(-self.lam)
-
 
 @dataclass
 class FittedModel:
@@ -148,10 +141,6 @@ class FittedModel:
     q_nodes_in: Optional[np.ndarray] = None
     constraint: dict = field(default_factory=dict)
     diagnostics: dict = field(default_factory=dict)
-
-    @property
-    def log_lik(self) -> Optional[float]:
-        return self.diagnostics.get("loglik")
 
     def block_of(self) -> np.ndarray:
         if self.blocks is None:

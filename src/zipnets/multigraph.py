@@ -137,7 +137,6 @@ class MultiGraph:
             keys = np.array(list(counts)).reshape(-1, 2)
             counts = (keys[:, 0], keys[:, 1], list(counts.values()))
         self._rows, self._cols, self._pos, self._w = _canonical_edges(self.space, *counts)
-        self._index = {label: k for k, label in enumerate(self.node_ids)}
         self._derived = {}  # views other modules build once and keep; they cannot go stale
 
     # -- basic accessors ---------------------------------------------------
@@ -179,12 +178,6 @@ class MultiGraph:
         pos = _pair_positions(self.space, *self.space.canonical(i, j))
         at = int(np.searchsorted(self._pos, pos))
         return int(self._w[at]) if at < self._pos.size and self._pos[at] == pos else 0
-
-    def index_of(self, label: str) -> int:
-        try:
-            return self._index[label]
-        except KeyError:
-            raise DataError(f"unknown node label {label!r}") from None
 
     def edge_arrays(self) -> tuple:
         """Read-only (rows, cols, counts) of the connected pairs, in canonical pair order."""

@@ -30,19 +30,17 @@ __all__ = [
 _INV_E = math.exp(-1.0)
 _GOLDEN = 0.3819660112501051  # 2 - golden ratio
 _EPS = float(np.finfo(float).eps)
+_ABS_TOLERANCE = 1e-10    # scalar search: on the argument
+_REL_LL_TOLERANCE = 1e-8  # box search: on the objective, per sweep
 
 
 @dataclass(frozen=True)
 class OptimizerConfig:
-    """Convergence controls shared by the scalar and box optimizers."""
+    """Iteration budget shared by the scalar and box optimizers."""
 
-    abs_tolerance: float = 1e-10       # on the argument (scalar)
-    rel_ll_tolerance: float = 1e-8     # on the objective (multivariate)
-    max_iterations: int = 200          # scalar; pass 2000 for multivariate
+    max_iterations: int = 200  # scalar; pass 2000 for multivariate
 
     def __post_init__(self):
-        if self.abs_tolerance <= 0 or self.rel_ll_tolerance <= 0:
-            raise ValueError("tolerances must be positive")
         if self.max_iterations < 1:
             raise ValueError("max_iterations must be at least 1")
 
@@ -107,7 +105,7 @@ def maximize_scalar_bounded(
     def f(x):
         return _check_finite(float(objective(x)), x)
 
-    tol = cfg.abs_tolerance
+    tol = _ABS_TOLERANCE
     a, b = lo, hi
     x = w = v = a + _GOLDEN * (b - a)
     fx = fw = fv = f(x)
@@ -190,8 +188,8 @@ def maximize_box_constrained(
     can pass one that evaluates only the terms coordinate k touches.
     ``objective`` is called at ``x0``, after each complete sweep and at
     the end. Terminates when a complete sweep improves the objective by
-    less than ``rel_ll_tolerance`` (relative), which sets ``converged``,
-    or when ``max_iterations`` coordinate steps have been spent.
+    less than 1e-8 (relative), which sets ``converged``, or when
+    ``max_iterations`` coordinate steps have been spent.
     """
     x = np.array(x0, dtype=np.float64).copy()
     lo = np.asarray(lower, dtype=np.float64)
@@ -220,11 +218,7 @@ def maximize_box_constrained(
 
     fx = f(x)
     n = x.size
-    scalar_cfg = OptimizerConfig(
-        abs_tolerance=max(cfg.abs_tolerance, 1e-12),
-        rel_ll_tolerance=cfg.rel_ll_tolerance,
-        max_iterations=100,
-    )
+    scalar_cfg = OptimizerConfig(max_iterations=100)
     steps = 0
     converged = False
     while steps < cfg.max_iterations:
@@ -241,7 +235,7 @@ def maximize_box_constrained(
                 x[k] = res.x
         else:  # only a complete sweep may declare convergence
             fx = f(x)
-            if fx - f_sweep_start <= cfg.rel_ll_tolerance * max(1.0, abs(fx)):
+            if fx - f_sweep_start <= _REL_LL_TOLERANCE * max(1.0, abs(fx)):
                 converged = True
                 break
     if not converged:
@@ -249,13 +243,14 @@ def maximize_box_constrained(
     return OptResult(x=x, value=fx, iterations=steps, converged=converged)
 
 
-def second_smallest_eigenvalue(matrix, symmetric_hint: bool = False) -> float:
-    """Second-smallest eigenvalue of a square real matrix with a real
-    spectrum (e.g. a random-walk Laplacian).
+def second_smallest_eigenvalue(matrix) -> float:
+    """Second-smallest eigenvalue of a real symmetric matrix (e.g. the
+    symmetric normalized Laplacian I - D^-1/2 W D^-1/2, whose spectrum
+    is the random-walk Laplacian's).
 
-    The smallest eigenvalue is asserted to be ~0 (|lambda_1| <= 1e-8),
-    which holds for Laplacians of connected or disconnected graphs.
-    ``symmetric_hint`` computes eigenvalues only, checked against the trace.
+    Eigenvalues only, checked against the trace. The smallest eigenvalue
+    is asserted to be ~0 (|lambda_1| <= 1e-8), which holds for Laplacians
+    of connected or disconnected graphs.
     """
     a = np.asarray(matrix, dtype=np.float64)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
@@ -263,18 +258,12 @@ def second_smallest_eigenvalue(matrix, symmetric_hint: bool = False) -> float:
     if a.shape[0] < 2:
         raise NumericalError("need at least a 2x2 matrix")
     try:
-        if symmetric_hint:
-            vals = np.linalg.eigvalsh(a)
-            drift = abs(vals.sum() - np.trace(a))
-            if not drift <= 1e-8 * max(1, a.shape[0]):  # NaN fails too
-                raise NumericalError(f"eigenvalues miss the trace by {drift:g}")
-        else:
-            cv = np.linalg.eigvals(a)
-            if np.max(np.abs(cv.imag)) > 1e-8 * max(1.0, np.max(np.abs(cv))):
-                raise NumericalError("matrix has a significantly complex spectrum")
-            vals = np.sort(cv.real)
+        vals = np.linalg.eigvalsh(a)
     except np.linalg.LinAlgError as exc:
         raise NumericalError(f"eigensolver failed: {exc}") from exc
+    drift = abs(vals.sum() - np.trace(a))
+    if not drift <= 1e-8 * max(1, a.shape[0]):  # NaN fails too
+        raise NumericalError(f"eigenvalues miss the trace by {drift:g}")
     if abs(vals[0]) > 1e-8 * max(1.0, abs(vals[-1])):
         raise NumericalError(f"smallest eigenvalue {vals[0]:g} is not ~0; not a Laplacian?")
     return float(vals[1])

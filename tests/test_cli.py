@@ -1,6 +1,10 @@
 import gzip
 import hashlib
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -77,6 +81,16 @@ class TestExitCodes:
                      "--out", str(tmp_path / "m.json")])
         assert code == 2
         assert "rows of integers" in capsys.readouterr().err
+
+
+def test_import_leaves_heavy_scipy_modules_unloaded():
+    # each of these adds import time and tens of MB to every CLI call
+    heavy = ("scipy.optimize", "scipy.stats", "scipy.sparse")
+    code = f"import sys, zipnets.cli; print([m for m in {heavy!r} if m in sys.modules])"
+    env = dict(os.environ, PYTHONPATH=str(Path(zipnets.models.__file__).parents[1]))
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True)
+    assert out.stdout.strip() == "[]"
 
 
 class TestAggregate:
@@ -300,6 +314,21 @@ class TestReport:
                      "--model-b", str(mb), "--seed", "2", "--realizations", "6",
                      "--out", str(tmp_path / "rep")]) == 0
         assert len(draws) == 12 and len(set(draws)) == 12
+
+    @pytest.mark.parametrize("directed, loops", [(False, False), (True, False), (True, True)])
+    def test_config_records_the_pair_space(self, tmp_path, directed, loops):
+        g = planted_zi_graph(13, 30, directed=directed, loops=loops, q=0.5, rate=3.0)
+        rows, cols, w = g.edge_arrays()
+        edges = tmp_path / "edges.txt"
+        edges.write_text("".join(f"n{i} n{j} {c}\n" for i, j, c in zip(rows, cols, w)))
+        flags = ["--format", "edgelist"] + ["--directed"] * directed + ["--loops"] * loops
+        model, out = tmp_path / "m.json", tmp_path / "rep"
+        assert main(["fit", "--input", str(edges), *flags, "--family", "zi_gnp",
+                     "--out", str(model)]) == 0
+        assert main(["report", "--input", str(edges), *flags, "--model-a", str(model),
+                     "--realizations", "4", "--out", str(out)]) == 0
+        config = json.loads((out / "report.json").read_text())["config"]
+        assert (config["directed"], config["loops"]) == (directed, loops)
 
     def test_pair_space_mismatch(self, graph_file, tmp_path):
         other = planted_zi_graph(5, 9, q=0.5, rate=3.0)

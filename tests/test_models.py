@@ -8,7 +8,7 @@ from unittest import mock
 import numpy as np
 import pytest
 import scipy.stats
-from hypothesis import given, settings, strategies as st
+from hypothesis import given, seed, settings, strategies as st
 
 from zipnets import (
     BlockAssignment,
@@ -1041,8 +1041,8 @@ def _reference_box_ascent(
 
     Each coordinate is optimized with the bounded scalar search while
     the others are held fixed; the objective never decreases. Terminates
-    when a complete sweep improves the objective by less than
-    ``rel_ll_tolerance`` (relative), which sets ``converged``, or when
+    when a complete sweep improves the objective by less than 1e-8
+    (relative), which sets ``converged``, or when
     ``max_iterations`` coordinate steps have been spent.
     """
     x = np.array(x0, dtype=np.float64).copy()
@@ -1063,11 +1063,7 @@ def _reference_box_ascent(
 
     fx = f(x)
     n = x.size
-    scalar_cfg = OptimizerConfig(
-        abs_tolerance=max(cfg.abs_tolerance, 1e-12),
-        rel_ll_tolerance=cfg.rel_ll_tolerance,
-        max_iterations=100,
-    )
+    scalar_cfg = OptimizerConfig(max_iterations=100)  # argument tolerance 1e-10
     steps = 0
     converged = False
     while steps < cfg.max_iterations:
@@ -1089,7 +1085,7 @@ def _reference_box_ascent(
                 x[k] = res.x
                 fx = res.value
         else:  # only a complete sweep may declare convergence
-            if fx - f_sweep_start <= cfg.rel_ll_tolerance * max(1.0, abs(fx)):
+            if fx - f_sweep_start <= 1e-8 * max(1.0, abs(fx)):
                 converged = True
                 break
     return OptResult(x=x, value=fx, iterations=steps, converged=converged)
@@ -1401,6 +1397,45 @@ class TestMixtureProfile:
             signs = np.sign(step[~flat])
             # one local maximum: no rise follows a fall
             assert not np.any((signs[:-1] < 0) & (signs[1:] > 0)), (c.tolist(), r.tolist())
+
+    @pytest.mark.parametrize("directed,loops", _SPACES)
+    @seed(31)
+    @settings(max_examples=100, deadline=None)
+    @given(data=st.data())
+    def test_converged_search_reaches_the_reference_maximum(self, directed, loops, data):
+        # reference: a 201-point grid over [q_lo, 1], then golden-section
+        # refinement between the grid neighbours of its best point
+        n = data.draw(st.integers(3, 24))
+        graph_seed = data.draw(st.integers(0, 10_000))
+        blk = random_blocks(graph_seed, n, data.draw(st.integers(1, min(4, n))))
+        B = blk.n_blocks
+        q_matrix = data.draw(st.lists(st.floats(0.1, 1.0), min_size=B * B, max_size=B * B))
+        g = planted_zi_graph(graph_seed, n, directed=directed, loops=loops, blocks=blk.labels,
+                             q_matrix=np.reshape(q_matrix, (B, B)),
+                             rate=data.draw(st.floats(0.2, 40.0)))
+        lab = blk.as_array()
+        rates = _mean_rate_array(g.space, _decompose_rates(g, blk, block_tallies(g, blk)), lab)
+        counts = g.count_vector()
+        for sel in zipnets.models._block_pair_groups(g.space, lab, B).values():
+            c, r = counts[sel], rates[sel]
+            if not c.any():
+                continue
+            _, value, _, converged = zipnets.models._optimize_mixture(c, r, OptimizerConfig())
+            if not converged:
+                continue
+            profile = zipnets.models._mixture_profile(c, r)
+            q_lo = min(np.count_nonzero(c) / c.size + _EPS_Q, 1.0)
+            grid = np.linspace(q_lo, 1.0, 201)
+            vals = [profile(q) for q in grid]
+            k = int(np.argmax(vals))
+            a, b = grid[max(k - 1, 0)], grid[min(k + 1, grid.size - 1)]
+            best, inv_phi = vals[k], (math.sqrt(5.0) - 1.0) / 2.0
+            for _ in range(80):
+                x1, x2 = b - inv_phi * (b - a), a + inv_phi * (b - a)
+                f1, f2 = profile(x1), profile(x2)
+                best = max(best, f1, f2)
+                a, b = (a, x2) if f1 >= f2 else (x1, b)
+            assert value >= best - 1e-12 * abs(best), (c.tolist(), r.tolist())
 
     def test_underflowing_zero_pair_at_q_one(self):
         counts = np.array([0, 3, 0, 1])

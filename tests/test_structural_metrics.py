@@ -53,7 +53,7 @@ def ref_spectral_gap_info(g):
     deg = sub.sum(axis=1)
     inv_sqrt = 1.0 / np.sqrt(deg)
     lap = np.eye(len(giant)) - inv_sqrt[:, None] * sub * inv_sqrt[None, :]
-    gap = second_smallest_eigenvalue(lap, symmetric_hint=True)
+    gap = second_smallest_eigenvalue(lap)
     return gap, len(giant) / g.n_nodes
 
 
