@@ -55,80 +55,58 @@ def modularity(g: MultiGraph, assignment: BlockAssignment, resolution: float = 1
     return ModularityScore(q_value=q, resolution=resolution)
 
 
-class _LevelGraph:
-    """Working graph for one Louvain level: combined-weight adjacency."""
+def _level(rows, cols, w, n: int) -> tuple:
+    """One Louvain level on n nodes from pairs listed in both directions.
 
-    def __init__(self, n, comb, kout, kin, m):
-        self.n = n
-        self.comb = comb          # list of dicts u -> w_vu + w_uv (u != v)
-        self.kout = kout
-        self.kin = kin
-        self.m = m
-
-    @classmethod
-    def from_multigraph(cls, g: MultiGraph):
-        # comb[v][u] = w_vu + w_uv: the expansion lists each direction once,
-        # and every listing contributes to both endpoints' rows
-        src, dst, wgt, kout, kin, m = _expanded_arrays(g)
-        comb = [dict() for _ in range(g.n_nodes)]
-        for a, b, w in zip(src, dst, wgt):
-            if a == b:
-                continue  # self-loops cancel in move gains
-            comb[a][b] = comb[a].get(b, 0.0) + w
-            comb[b][a] = comb[b].get(a, 0.0) + w
-        return cls(g.n_nodes, comb, kout, kin, m)
-
-    def aggregate(self, labels: np.ndarray, n_comm: int) -> "_LevelGraph":
-        kout = np.bincount(labels, weights=self.kout, minlength=n_comm)
-        kin = np.bincount(labels, weights=self.kin, minlength=n_comm)
-        # summing symmetric rows over members preserves the comb convention
-        comb = [dict() for _ in range(n_comm)]
-        for v in range(self.n):
-            cv = labels[v]
-            row = comb[cv]
-            for u, w in self.comb[v].items():
-                cu = labels[u]
-                if cu == cv:
-                    continue
-                row[cu] = row.get(cu, 0.0) + w
-        return _LevelGraph(n_comm, comb, kout, kin, self.m)
+    Drops self-pairs (they cancel in move gains) and sums duplicate
+    pairs; every weight is a sum of integer multi-edge counts, so the
+    summation order changes no bit. Returns the summed (rows, cols, w)
+    and each node's [(neighbour, weight), ...] in ascending neighbour order.
+    """
+    keep = rows != cols
+    keys, inv = np.unique(rows[keep] * n + cols[keep], return_inverse=True)
+    w = np.bincount(inv, weights=w[keep], minlength=keys.size)
+    rows, cols = np.divmod(keys, n)
+    ends = np.cumsum(np.bincount(rows, minlength=n)).tolist()
+    pairs = list(zip(cols.tolist(), w.tolist()))
+    return rows, cols, w, [pairs[a:b] for a, b in zip([0] + ends[:-1], ends)]
 
 
-def _local_moving(lg: _LevelGraph, labels: np.ndarray, resolution: float,
-                  rng: np.random.Generator, max_passes: int = 64) -> bool:
+def _local_moving(nbrs: list, kout: np.ndarray, kin: np.ndarray, labels: np.ndarray,
+                  resolution: float, rng: np.random.Generator, max_passes: int = 64) -> bool:
     """Greedy node moves until no move improves modularity.
 
-    Candidates are the neighbouring communities plus an empty one; a
-    move happens only on a strict gain, and since candidates are probed
-    in ascending community index, ties go to the lowest index. Returns
-    True if anything moved.
+    Candidates are the neighbouring communities plus the lowest empty
+    one; a move happens only on a strict gain, and since candidates are
+    probed in ascending community index, ties go to the lowest index.
+    Returns True if anything moved.
     """
-    m = lg.m
-    n = lg.n
-    ko_c = np.bincount(labels, weights=lg.kout, minlength=n).astype(np.float64)
-    ki_c = np.bincount(labels, weights=lg.kin, minlength=n).astype(np.float64)
+    n = kout.size
+    m = float(kout.sum())
+    ko_c = np.bincount(labels, weights=kout, minlength=n)
+    ki_c = np.bincount(labels, weights=kin, minlength=n)
     sizes = np.bincount(labels, minlength=n)
-    free = sorted((c for c in range(n) if sizes[c] == 0), reverse=True)
     moved_any = False
     for _ in range(max_passes):
         moved = False
         order = rng.permutation(n)
         for v in order:
             c_old = labels[v]
-            kov, kiv = lg.kout[v], lg.kin[v]
+            kov, kiv = kout[v], kin[v]
             # detach v and compare candidate communities from scratch
             ko_c[c_old] -= kov
             ki_c[c_old] -= kiv
             sizes[c_old] -= 1
             w_to = {}
-            for u, w in lg.comb[v].items():
+            for u, w in nbrs[v]:
                 cu = labels[u]
                 w_to[cu] = w_to.get(cu, 0.0) + w
             best_c = c_old
             best_gain = (w_to.get(c_old, 0.0) / m
                          - resolution * (kov * ki_c[c_old] + kiv * ko_c[c_old]) / (m * m))
-            if free and sizes[c_old] > 0 and best_gain < -1e-13:
-                best_c, best_gain = free[-1], 0.0  # fresh singleton community
+            if sizes[c_old] > 0 and best_gain < -1e-13:
+                # fresh singleton: without v, n - 1 nodes leave a community empty
+                best_c, best_gain = sizes.argmin(), 0.0
             for cu in sorted(w_to):
                 if cu == c_old:
                     continue
@@ -138,13 +116,7 @@ def _local_moving(lg: _LevelGraph, labels: np.ndarray, resolution: float,
                     best_gain = gain
                     best_c = cu
             if best_c != c_old:
-                moved = True
-                moved_any = True
-                if sizes[best_c] == 0 and free and best_c == free[-1]:
-                    free.pop()
-                if sizes[c_old] == 0:
-                    free.append(c_old)
-                    free.sort(reverse=True)
+                moved = moved_any = True
             labels[v] = best_c
             ko_c[best_c] += kov
             ki_c[best_c] += kiv
@@ -156,13 +128,8 @@ def _local_moving(lg: _LevelGraph, labels: np.ndarray, resolution: float,
 
 def _compress_labels(labels: np.ndarray) -> tuple:
     """Relabel to dense 0..B-1 in order of first appearance."""
-    remap = {}
-    out = np.empty_like(labels)
-    for k, c in enumerate(labels):
-        if c not in remap:
-            remap[c] = len(remap)
-        out[k] = remap[c]
-    return out, len(remap)
+    _, first, inv = np.unique(labels, return_index=True, return_inverse=True)
+    return np.argsort(np.argsort(first))[inv], first.size
 
 
 def detect_communities(g: MultiGraph, seed: int, resolution: float = 1.0) -> BlockAssignment:
@@ -175,24 +142,28 @@ def detect_communities(g: MultiGraph, seed: int, resolution: float = 1.0) -> Blo
     """
     if g.n_multiedges == 0:
         raise DataError("community detection needs at least one edge")
+    if not (np.isfinite(resolution) and resolution > 0):
+        raise DataError(f"resolution must be finite and positive, got {resolution}")
     rng = np.random.default_rng(seed)
-    base = _LevelGraph.from_multigraph(g)
-
-    lg = base
+    src, dst, wgt, kout, kin, _ = _expanded_arrays(g)
+    rows, cols, w, nbrs = _level(np.concatenate([src, dst]), np.concatenate([dst, src]),
+                                 np.tile(wgt, 2), g.n_nodes)
+    base = nbrs, kout, kin
     flat = np.arange(g.n_nodes, dtype=np.int64)  # node -> community of original nodes
-    level_labels = np.arange(lg.n, dtype=np.int64)
     while True:
-        moved = _local_moving(lg, level_labels, resolution, rng)
-        level_labels, n_comm = _compress_labels(level_labels)
-        flat = level_labels[flat]
-        if not moved or n_comm == lg.n:
+        labels = np.arange(len(nbrs), dtype=np.int64)
+        moved = _local_moving(nbrs, kout, kin, labels, resolution, rng)
+        labels, n_comm = _compress_labels(labels)
+        flat = labels[flat]
+        if not moved or n_comm == len(nbrs):
             break
-        lg = lg.aggregate(level_labels, n_comm)
-        level_labels = np.arange(n_comm, dtype=np.int64)
+        # a community's weights and degrees are the sums over its members
+        rows, cols, w, nbrs = _level(labels[rows], labels[cols], w, n_comm)
+        kout, kin = (np.bincount(labels, weights=k, minlength=n_comm) for k in (kout, kin))
 
     # refinement: one more sweep at the original-node level
-    flat, n_comm = _compress_labels(flat)
-    _local_moving(base, flat, resolution, rng, max_passes=1)
+    flat, _ = _compress_labels(flat)
+    _local_moving(*base, flat, resolution, rng, max_passes=1)
     flat, n_comm = _compress_labels(flat)
 
     candidate = BlockAssignment(labels=tuple(int(x) for x in flat), n_blocks=n_comm)

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import argparse
 import hashlib
-import json
+import math
 import sys
 import time
 from pathlib import Path
@@ -34,6 +34,7 @@ from .multigraph import (
     save_graph,
     summary_stats,
     write_block_assignment,
+    write_json,
 )
 from .numerics import OptimizerConfig
 
@@ -44,12 +45,6 @@ class _Parser(argparse.ArgumentParser):
     def error(self, message):
         self.print_usage(sys.stderr)
         self.exit(1, f"{self.prog}: error: {message}\n")
-
-
-def _dump_json(obj, path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(obj, fh, indent=2, sort_keys=True)
-        fh.write("\n")
 
 
 def _existing(path, what: str = "input") -> Path:
@@ -171,7 +166,7 @@ def _cmd_sample(args) -> int:
         save_graph(g, path)
         digest = hashlib.sha256(path.read_bytes()).hexdigest()
         manifest["files"].append({"file": path.name, "sha256": digest})
-    _dump_json(manifest, out_dir / "manifest.json")
+    write_json(manifest, out_dir / "manifest.json")
     print(f"wrote {args.n_samples} samples to {out_dir}")
     return 0
 
@@ -208,7 +203,6 @@ def _cmd_report(args) -> int:
     emp = _metrics.edge_count_histogram(g, lowers=lowers)
     hist_a = _metrics.model_count_histogram(model_a, lowers)
     hist_b = _metrics.model_count_histogram(model_b, lowers) if model_b else None
-    _metrics.write_histogram_csv(out_dir / "histogram.csv", emp, hist_a, hist_b)
 
     def model_block(model, hist):
         stat, nbins = _metrics.chi_squared_from_binned(emp.mass * counts.size,
@@ -222,9 +216,8 @@ def _cmd_report(args) -> int:
 
     # out is omitted: report bytes depend only on (inputs, seed)
     config = {"input": str(args.input), "format": args.format, "directed": g.directed,
-              "loops": g.loops_allowed, "family": None, "blocks": "single", "seed": args.seed,
-              "n_realizations": args.realizations, "binning": args.binning, "out": None,
-              "resolution": 1.0}
+              "loops": g.loops_allowed, "seed": args.seed,
+              "n_realizations": args.realizations, "binning": args.binning}
     report = {
         "version": __version__,
         "config": config,
@@ -240,7 +233,9 @@ def _cmd_report(args) -> int:
         model_a, g, ("spectral_gap", "avg_clustering", "avg_path_length", "excess_kurtosis"),
         args.realizations, args.seed, model_b=model_b)
     report["capture"] = {metric: _capture_block(*reps) for metric, reps in captures.items()}
-    _dump_json(report, out_dir / "report.json")
+    # both files are written only once every part of the report has succeeded
+    _metrics.write_histogram_csv(out_dir / "histogram.csv", emp, hist_a, hist_b)
+    write_json(report, out_dir / "report.json")
 
     chi_a = report["models"]["a"]["chi_squared"]["statistic"]
     line = f"chi2[a]={chi_a:.4f}"
@@ -317,18 +312,28 @@ def _cmd_bench(args) -> int:
 # -- parser -------------------------------------------------------------------
 
 
-def _count(text: str) -> int:
-    """argparse type: a non-negative integer."""
-    if not text.isdecimal():
-        raise argparse.ArgumentTypeError(f"expected a non-negative integer, got {text!r}")
-    return int(text)
+def _at_least(lowest: int, what: str):
+    """argparse type: an integer of at least ``lowest``, described as ``what``."""
+    def parse(text: str) -> int:
+        if not text.isdecimal() or int(text) < lowest:
+            raise argparse.ArgumentTypeError(f"expected {what}, got {text!r}")
+        return int(text)
+    return parse
 
 
-def _positive(text: str) -> int:
-    """argparse type: a positive integer."""
-    if not text.isdecimal() or int(text) == 0:
-        raise argparse.ArgumentTypeError(f"expected a positive integer, got {text!r}")
-    return int(text)
+_count = _at_least(0, "a non-negative integer")
+_positive = _at_least(1, "a positive integer")
+
+
+def _resolution(text: str) -> float:
+    """argparse type: a finite positive number."""
+    try:
+        value = float(text)
+    except ValueError:
+        value = math.nan
+    if not (math.isfinite(value) and value > 0):
+        raise argparse.ArgumentTypeError(f"expected a finite positive number, got {text!r}")
+    return value
 
 
 def _counts(text: str) -> list:
@@ -365,7 +370,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("detect-blocks", help="modularity community detection")
     add_input_opts(p)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--resolution", type=float, default=1.0)
+    p.add_argument("--resolution", type=_resolution, default=1.0)
     p.add_argument("--out", required=True)
     p.set_defaults(func=_cmd_detect_blocks)
 
@@ -377,7 +382,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="'single', 'detect', or a blocks file path; "
                         "only families with blocks read it")
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--resolution", type=float, default=1.0)
+    p.add_argument("--resolution", type=_resolution, default=1.0)
     p.add_argument("--out", required=True)
     p.set_defaults(func=_cmd_fit)
 
@@ -393,7 +398,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--model-a", required=True)
     p.add_argument("--model-b", default=None)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--realizations", type=int, default=200)
+    p.add_argument("--realizations", type=_at_least(2, "an integer of at least 2"), default=200)
     p.add_argument("--bins", dest="binning", default="geometric",
                    choices=["geometric", "unit"])
     p.add_argument("--out", required=True, help="output directory")

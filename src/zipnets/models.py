@@ -38,6 +38,7 @@ from .multigraph import (
     block_tallies,
     degrees,
     single_block,
+    write_json,
 )
 from .numerics import OptimizerConfig, lambert_w0, maximize_box_constrained, maximize_scalar_bounded
 
@@ -967,9 +968,7 @@ def _model_from_json(obj: dict) -> FittedModel:
 
 
 def save_model(model: FittedModel, path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(model_to_json(model), fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    write_json(model_to_json(model), path)
 
 
 def load_model(path) -> FittedModel:

@@ -305,6 +305,17 @@ def _open_maybe_gzip(stream) -> Iterator[TextIO]:
         yield text
 
 
+def _lines(stream) -> Iterator[tuple]:
+    """(line number from 1, text) of each line of a path or stream that
+    holds more than a "#" comment, with the comment and the surrounding
+    whitespace stripped."""
+    with _open_maybe_gzip(stream) as fh:
+        for lineno, line in enumerate(fh, start=1):
+            text = line.split("#", 1)[0].strip()
+            if text:
+                yield lineno, text
+
+
 def parse_contact_log(stream) -> TemporalContactLog:
     """Parse a contact log with lines "t i j" (whitespace or tab separated).
 
@@ -313,22 +324,18 @@ def parse_contact_log(stream) -> TemporalContactLog:
     timestamp with the original label strings preserved.
     """
     records = []
-    with _open_maybe_gzip(stream) as fh:
-        for lineno, line in enumerate(fh, start=1):
-            text = line.split("#", 1)[0].strip()
-            if not text:
-                continue
-            parts = text.replace(",", " ").split()
-            if len(parts) < 3:
-                raise ParseError(f"expected at least 3 fields, got {len(parts)}", line=lineno)
-            try:
-                t = int(parts[0])
-            except ValueError:
-                raise ParseError(f"timestamp {parts[0]!r} is not an integer", line=lineno) from None
-            a, b = parts[1], parts[2]
-            if a == b:
-                raise ParseError(f"self-contact {a!r}", line=lineno)
-            records.append((t, a, b))
+    for lineno, text in _lines(stream):
+        parts = text.replace(",", " ").split()
+        if len(parts) < 3:
+            raise ParseError(f"expected at least 3 fields, got {len(parts)}", line=lineno)
+        try:
+            t = int(parts[0])
+        except ValueError:
+            raise ParseError(f"timestamp {parts[0]!r} is not an integer", line=lineno) from None
+        a, b = parts[1], parts[2]
+        if a == b:
+            raise ParseError(f"self-contact {a!r}", line=lineno)
+        records.append((t, a, b))
     if not records:
         raise ParseError("no records found")
     records.sort(key=lambda r: r[0])
@@ -377,26 +384,22 @@ def parse_weighted_edgelist(stream, directed: bool, loops: bool) -> MultiGraph:
     """
     index: dict = {}
     rows, cols, weights = [], [], []
-    with _open_maybe_gzip(stream) as fh:
-        for lineno, line in enumerate(fh, start=1):
-            text = line.split("#", 1)[0].strip()
-            if not text:
-                continue
-            parts = text.replace(",", " ").split()
-            if len(parts) < 3:
-                raise ParseError(f"expected 3 fields 'i j w', got {len(parts)}", line=lineno)
-            a, b, w_text = parts[0], parts[1], parts[2]
-            try:
-                w = int(w_text)
-            except ValueError:
-                raise ParseError(f"weight {w_text!r} is not an integer", line=lineno) from None
-            if w <= 0:
-                raise ParseError(f"weight must be positive, got {w}", line=lineno)
-            if a == b and not loops:
-                raise ParseError(f"self-loop {a!r} not allowed", line=lineno)
-            rows.append(index.setdefault(a, len(index)))
-            cols.append(index.setdefault(b, len(index)))
-            weights.append(w)
+    for lineno, text in _lines(stream):
+        parts = text.replace(",", " ").split()
+        if len(parts) < 3:
+            raise ParseError(f"expected 3 fields 'i j w', got {len(parts)}", line=lineno)
+        a, b, w_text = parts[0], parts[1], parts[2]
+        try:
+            w = int(w_text)
+        except ValueError:
+            raise ParseError(f"weight {w_text!r} is not an integer", line=lineno) from None
+        if w <= 0:
+            raise ParseError(f"weight must be positive, got {w}", line=lineno)
+        if a == b and not loops:
+            raise ParseError(f"self-loop {a!r} not allowed", line=lineno)
+        rows.append(index.setdefault(a, len(index)))
+        cols.append(index.setdefault(b, len(index)))
+        weights.append(w)
     if not weights:
         raise ParseError("no edges found")
     return MultiGraph(list(index), (rows, cols, weights), directed=directed, loops=loops)
@@ -632,6 +635,13 @@ def save_graph(g: MultiGraph, path) -> None:
         fh.write("\n")
 
 
+def write_json(obj, path) -> None:
+    """Write ``obj`` as indented JSON with sorted keys and a final newline."""
+    with open(path, "w", encoding="utf-8") as fh:
+        json.dump(obj, fh, indent=2, sort_keys=True)
+        fh.write("\n")
+
+
 def load_graph(path) -> MultiGraph:
     with open(path, "r", encoding="utf-8") as fh:
         return graph_from_json(json.load(fh))
@@ -648,18 +658,14 @@ def read_block_assignment(g: MultiGraph, stream) -> BlockAssignment:
     """Read "node_label block" lines; blocks are renumbered densely in
     ascending numeric order of the labels found."""
     raw: dict = {}
-    with _open_maybe_gzip(stream) as fh:
-        for lineno, line in enumerate(fh, start=1):
-            text = line.split("#", 1)[0].strip()
-            if not text:
-                continue
-            parts = text.split()
-            if len(parts) != 2:
-                raise ParseError(f"expected 'node block', got {len(parts)} fields", line=lineno)
-            try:
-                raw[parts[0]] = int(parts[1])
-            except ValueError:
-                raise ParseError(f"block label {parts[1]!r} is not an integer", line=lineno) from None
+    for lineno, text in _lines(stream):
+        parts = text.split()  # commas are not separators here
+        if len(parts) != 2:
+            raise ParseError(f"expected 'node block', got {len(parts)} fields", line=lineno)
+        try:
+            raw[parts[0]] = int(parts[1])
+        except ValueError:
+            raise ParseError(f"block label {parts[1]!r} is not an integer", line=lineno) from None
     missing = [lab for lab in g.node_ids if lab not in raw]
     if missing:
         raise DataError(f"block file is missing {len(missing)} nodes (first: {missing[0]!r})")

@@ -9,6 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import zipnets.metrics
 import zipnets.models
 
 from zipnets import (aggregate_contacts, graph_to_json, load_graph, load_model,
@@ -62,7 +63,16 @@ class TestExitCodes:
     @pytest.mark.parametrize("argv", [["sample", "--model", "m.json", "-n", "-1"],
                                       ["bench", "--reps", "-1"],
                                       ["bench", "--n-range", "10,x"],
-                                      ["bench", "--max-steps", "0"]])
+                                      ["bench", "--max-steps", "0"],
+                                      ["report", "--realizations", "1"],
+                                      ["report", "--realizations", "0"],
+                                      ["report", "--realizations", "-3"],
+                                      ["detect-blocks", "--resolution", "-1"],
+                                      ["detect-blocks", "--resolution", "0"],
+                                      ["detect-blocks", "--resolution", "nan"],
+                                      ["detect-blocks", "--resolution", "inf"],
+                                      ["fit", "--resolution", "nan"],
+                                      ["fit", "--resolution", "x"]])
     def test_bad_counts_are_usage_errors(self, tmp_path, capsys, argv):
         assert main(argv + ["--out", str(tmp_path / "out")]) == 1
         err = capsys.readouterr().err
@@ -329,6 +339,21 @@ class TestReport:
                      "--realizations", "4", "--out", str(out)]) == 0
         config = json.loads((out / "report.json").read_text())["config"]
         assert (config["directed"], config["loops"]) == (directed, loops)
+        assert set(config) == {"input", "format", "directed", "loops", "seed",
+                               "n_realizations", "binning"}
+
+    def test_failed_report_writes_no_file(self, graph_file, tmp_path, monkeypatch):
+        model, out = tmp_path / "m.json", tmp_path / "rep"
+        assert main(["fit", "--input", str(graph_file), "--family", "zi_gnp",
+                     "--out", str(model)]) == 0
+
+        def failing(g):
+            raise zipnets.NumericalError("metric failed")
+
+        monkeypatch.setitem(zipnets.metrics.METRIC_FUNCTIONS, "avg_path_length", failing)
+        assert main(["report", "--input", str(graph_file), "--model-a", str(model),
+                     "--realizations", "4", "--out", str(out)]) == 3
+        assert not (out / "histogram.csv").exists() and not (out / "report.json").exists()
 
     def test_pair_space_mismatch(self, graph_file, tmp_path):
         other = planted_zi_graph(5, 9, q=0.5, rate=3.0)
